@@ -3,6 +3,7 @@ evaluation, and spectrum analysis driven by one strict JSON config."""
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -55,8 +56,15 @@ def _merge_strict(defaults, given, path=""):
             else:
                 out[key] = gval
         else:
-            out[key] = dval
+            out[key] = copy.deepcopy(dval)
     return out
+
+
+def _training_config(section: dict) -> TrainConfig:
+    try:
+        return TrainConfig(**section)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"training: {e}") from e
 
 
 class ExperimentConfig:
@@ -85,12 +93,9 @@ class ExperimentConfig:
         try:
             self.model = DsnoConfig(d=self.mixture.d, C=m["C"], L=m["L"], J=m["J"],
                                     M=g["M"], E=m["E"], slope=m["slope"])
-        except ValueError as e:
-            raise ConfigError(f"model: {e}") from e
-        try:
-            self.training = TrainConfig(**cfg["training"])
         except (TypeError, ValueError) as e:
-            raise ConfigError(f"training: {e}") from e
+            raise ConfigError(f"model: {e}") from e
+        self.training = _training_config(cfg["training"])
         self.dataset = cfg["dataset"]
         self.out_dir = cfg["out_dir"]
 
@@ -237,10 +242,10 @@ def run(argv) -> int:
         cfg = parse_config(args.config)
         if args.steps is not None:
             cfg.raw["training"]["total_steps"] = args.steps
-            cfg.training = TrainConfig(**cfg.raw["training"])
         if args.seed is not None:
             cfg.raw["training"]["seed"] = args.seed
-            cfg.training = TrainConfig(**cfg.raw["training"])
+        if args.steps is not None or args.seed is not None:
+            cfg.training = _training_config(cfg.raw["training"])
         if args.out is not None:
             cfg.raw["out_dir"] = args.out
             cfg.out_dir = args.out

@@ -3,14 +3,36 @@
 A small reverse-mode tape over numpy arrays, with exactly the primitives
 the operator network needs: pointwise affines, leaky ReLU, truncated
 temporal DFTs with arbitrary-position evaluation, complex per-mode kernel
-products, and a weighted l1 loss. Complex tensors carry gradients in the
-dL/dRe + i*dL/dIm convention. Everything runs in double precision.
+products, the fused spectral convolution built from them, and a weighted
+l1 loss. Complex tensors carry gradients in the dL/dRe + i*dL/dIm
+convention. Everything runs in double precision.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
+
+
+class _TapeState(threading.local):
+    recording = True
+
+
+_TAPE = _TapeState()
+
+
+@contextlib.contextmanager
+def no_record():
+    """Scope in which ops build no graph: their outputs have no parents
+    and no backward rule, so each intermediate is freed once consumed."""
+    prev = _TAPE.recording
+    _TAPE.recording = False
+    try:
+        yield
+    finally:
+        _TAPE.recording = prev
 
 
 class Tensor:
@@ -21,8 +43,12 @@ class Tensor:
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value)
         self.grad = None
-        self._parents = parents
-        self._backward = backward
+        if _TAPE.recording:
+            self._parents = parents
+            self._backward = backward
+        else:
+            self._parents = ()
+            self._backward = None
 
     @property
     def shape(self):
@@ -82,21 +108,33 @@ def affine_pointwise(W: Tensor, b: Tensor, u: Tensor) -> Tensor:
     """Row-wise affine map: each trailing-axis vector goes through W x + b."""
     if W.value.shape[1] != u.value.shape[-1] or b.value.shape[0] != W.value.shape[0]:
         raise ValueError("affine shape mismatch")
-    out = u.value @ W.value.T + b.value
+    # one GEMM over all leading axes; numpy's stacked matmul would run one
+    # small GEMM per leading index
+    rows = u.value.reshape(-1, u.value.shape[-1])
+    out = rows @ W.value.T
+    out += b.value          # in place: a fresh large array costs page faults
 
     def bw(g):
-        lead = (-1, g.shape[-1])
-        gW = g.reshape(lead).T @ u.value.reshape(-1, u.value.shape[-1])
-        gb = g.reshape(lead).sum(axis=0)
-        gu = g @ W.value
+        g2 = g.reshape(-1, g.shape[-1])
+        gW = g2.T @ rows
+        gb = g2.sum(axis=0)
+        gu = (g2 @ W.value).reshape(u.value.shape)
         return gW, gb, gu
 
-    return Tensor(out, (W, b, u), bw)
+    return Tensor(out.reshape(*u.value.shape[:-1], W.value.shape[0]), (W, b, u), bw)
 
 
 def leaky_relu(u: Tensor, slope: float = 0.01) -> Tensor:
-    mask = np.where(u.value >= 0, 1.0, slope)
-    return Tensor(u.value * mask, (u,), lambda g: (g * mask,))
+    """max(u, slope*u); a leaky ReLU for 0 <= slope < 1."""
+    out = slope * u.value
+    np.maximum(u.value, out, out=out)
+
+    def bw(g):
+        mask = np.maximum(u.value >= 0, slope)
+        mask *= g
+        return (mask,)
+
+    return Tensor(out, (u,), bw)
 
 
 def _dft_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
@@ -176,6 +214,75 @@ def idft_at(u_hat: Tensor, M: int, queries) -> Tensor:
         return (np.matmul(np.conj(B), g.astype(complex)),)
 
     return Tensor(out, (u_hat,), bw)
+
+
+def _re_im_rows(Z: np.ndarray) -> np.ndarray:
+    """(J, ...) complex -> (2J, ...) real rows Re Z_0, Im Z_0, Re Z_1, ..."""
+    return np.stack([Z.real, Z.imag], axis=1).reshape(2 * Z.shape[0], *Z.shape[1:])
+
+
+def spectral_conv(R: Tensor, u: Tensor, positions, M: int) -> Tensor:
+    """idft_at(mode_multiply(R, dft_at_positions(u, J, positions, M)), M,
+    positions) as one real op: (..., Q, C) -> (..., Q, K) for R (J, K, C).
+
+    For Q <= 2J the branch is applied as one dense real (Q*C, Q*K) map
+    per sample, T[m,l,n,k] = Re sum_j F[j,m] R[j,k,l] B[j,n]. The map grows
+    as Q^2, so for larger Q (dense queries) the transform stays factored:
+    the real and imaginary DFT rows, a real per-mode product, and the
+    inverse rows, each one batched matmul.
+    """
+    Rv, uv = R.value, u.value
+    J, K, C = Rv.shape
+    positions = np.asarray(positions, dtype=float)
+    Q = positions.size
+    if uv.shape[-2:] != (Q, C):
+        raise ValueError("kernel/feature shape mismatch")
+    lead = uv.shape[:-2]
+    F = _dft_basis(J, positions, M)                           # (J, Q)
+    B = _idft_basis(J, M, positions)                          # (J, Q)
+
+    if Q <= 2 * J:
+        # P[(m, n), j] = F[j, m] B[j, n]; A holds its conjugate as real columns
+        P = (F[:, :, None] * B[:, None, :]).reshape(J, Q * Q)
+        A = _re_im_rows(np.conj(P)).T                         # (Q*Q, 2J)
+        T = A @ _re_im_rows(Rv.reshape(J, K * C))             # (Q*Q, K*C)
+        T = T.reshape(Q, Q, K, C).transpose(0, 3, 1, 2).reshape(Q * C, Q * K)
+        rows = uv.reshape(-1, Q * C)
+        out = (rows @ T).reshape(*lead, Q, K)
+
+        def bw(g):
+            g2 = g.reshape(-1, Q * K)
+            gu = (g2 @ T.T).reshape(uv.shape)
+            gT = (rows.T @ g2).reshape(Q, C, Q, K).transpose(0, 2, 3, 1)
+            gR = (A.T @ gT.reshape(Q * Q, K * C)).reshape(J, 2, K, C)
+            return gR[:, 0] + 1j * gR[:, 1], gu
+
+        return Tensor(out, (R, u), bw)
+
+    # W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]] maps the real pair
+    # (Re u_hat, Im u_hat) of mode j to (Re v_hat, Im v_hat)
+    Rt = Rv.transpose(0, 2, 1)                                # (J, C, K)
+    W = np.block([[Rt.real, Rt.imag], [-Rt.imag, Rt.real]])   # (J, 2C, 2K)
+    Fs = _re_im_rows(F)                                       # (2J, Q)
+    Bs = _re_im_rows(np.conj(B))                              # (2J, Q)
+    x = uv.reshape(-1, Q, C)
+    N = x.shape[0]
+    u_hat = (Fs @ x).reshape(N, J, 2 * C)                     # per mode: Re | Im
+    v_hat = np.empty((N, J, 2 * K))
+    np.matmul(u_hat.transpose(1, 0, 2), W, out=v_hat.transpose(1, 0, 2))
+    out = (Bs.T @ v_hat.reshape(N, 2 * J, K)).reshape(*lead, Q, K)
+
+    def bw(g):
+        gv = (Bs @ g.reshape(N, Q, K)).reshape(N, J, 2 * K).transpose(1, 0, 2)
+        gu_hat = np.empty((N, J, 2 * C))
+        np.matmul(gv, W.transpose(0, 2, 1), out=gu_hat.transpose(1, 0, 2))
+        gW = u_hat.transpose(1, 2, 0) @ gv                    # (J, 2C, 2K)
+        gRe = gW[:, :C, :K] + gW[:, C:, K:]
+        gIm = gW[:, :C, K:] - gW[:, C:, :K]
+        gu = (Fs.T @ gu_hat.reshape(N, 2 * J, C)).reshape(uv.shape)
+        return (gRe + 1j * gIm).transpose(0, 2, 1), gu
+
+    return Tensor(out, (R, u), bw)
 
 
 def time_embedding(t: float, E: int) -> np.ndarray:

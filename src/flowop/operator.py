@@ -36,6 +36,8 @@ class DsnoConfig:
             raise ValueError("all config sizes must be positive")
         if self.J > self.M // 2 + 1:
             raise ValueError(f"J={self.J} exceeds M//2+1={self.M // 2 + 1}")
+        if not 0 <= self.slope < 1:
+            raise ValueError(f"slope={self.slope} must satisfy 0 <= slope < 1")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -139,22 +141,17 @@ def temporal_conv(kernel: Tensor, u: Tensor, M: int, positions=None,
     """
     if positions is None:
         positions = np.arange(M, dtype=float)
-    J = kernel.value.shape[0]
-    u_hat = nnops.dft_at_positions(u, J, positions, M)
-    v_hat = nnops.mode_multiply(kernel, u_hat)
     if collector is not None:
-        collector.append(v_hat.value)
-    k_branch = nnops.idft_at(v_hat, M, positions)
+        # the mode stack (..., J, K), computed beside the branch
+        u_hat = nnops.dft_at_positions(u, kernel.value.shape[0], positions, M)
+        collector.append(nnops.mode_multiply(kernel, u_hat).value)
+    k_branch = nnops.spectral_conv(kernel, u, positions, M)
     return nnops.add(u, nnops.leaky_relu(k_branch, slope))
 
 
 def temporal_conv_k_branch(kernel: Tensor, u: Tensor, M: int) -> np.ndarray:
     """The spectral branch K u before activation (for equivalence checks)."""
-    J = kernel.value.shape[0]
-    positions = np.arange(M, dtype=float)
-    u_hat = nnops.dft_at_positions(u, J, positions, M)
-    v_hat = nnops.mode_multiply(kernel, u_hat)
-    return nnops.idft_at(v_hat, M, positions).value
+    return nnops.spectral_conv(kernel, u, np.arange(M, dtype=float), M).value
 
 
 def _embed_matrix(times: np.ndarray, E: int) -> np.ndarray:
@@ -168,9 +165,9 @@ def _forward_graph(params: DsnoParams, x_T: np.ndarray, times: np.ndarray,
     squeeze = x_T.ndim == 1
     if squeeze:
         x_T = x_T[None, :]
-    Q = times.size
-    rows = np.repeat(x_T[:, None, :], Q, axis=1)          # (B, Q, d)
-    u = nnops.affine_pointwise(params.lift_W, params.lift_b, nnops.param(rows))
+    # lifted once per sample; the first embedding add broadcasts it over Q
+    u = nnops.affine_pointwise(params.lift_W, params.lift_b,
+                               nnops.param(x_T[:, None, :]))   # (B, 1, C)
     emb = _embed_matrix(times, cfg.E)                     # (Q, E)
     emb_t = nnops.param(emb)
     for blk in params.blocks:
@@ -186,8 +183,9 @@ def _forward_graph(params: DsnoParams, x_T: np.ndarray, times: np.ndarray,
 
 def forward(params: DsnoParams, x_T, grid: TimeGrid) -> np.ndarray:
     """One-call prediction of the whole trajectory: (M, d) or (B, M, d)."""
-    y, squeeze = _forward_graph(params, x_T, grid.times,
-                                np.arange(params.config.M, dtype=float))
+    with nnops.no_record():
+        y, squeeze = _forward_graph(params, x_T, grid.times,
+                                    np.arange(params.config.M, dtype=float))
     return y.value[0] if squeeze else y.value
 
 
@@ -218,7 +216,8 @@ def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times,
     """
     q = np.asarray(query_times, dtype=float)
     positions = query_positions(grid, q)
-    y, squeeze = _forward_graph(params, x_T, q, positions, collector)
+    with nnops.no_record():
+        y, squeeze = _forward_graph(params, x_T, q, positions, collector)
     return y.value[0] if squeeze else y.value
 
 

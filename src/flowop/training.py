@@ -198,6 +198,8 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
     y_all = dataset.values.astype(float)
     curve: list[tuple[int, float, float]] = []
     tensors = params.tensors()
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     for step in range(start, tc.total_steps):
         idx = _batch_indices(dataset.N, tc.batch_size, tc.seed, step)
         loss = forward_loss(params, x_all[idx], grid, y_all[idx], w)
@@ -212,7 +214,6 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
             save_train_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1:07d}.bin"),
                                   params, state, tc)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "loss.tsv"), "w") as f:
             f.write("step\tlr\tloss\n")
             for s, lr, lo in curve:

@@ -176,12 +176,17 @@ class TrajectoryDataset:
     def load(cls, path) -> "TrajectoryDataset":
         with open(path, "rb") as f:
             raw = f.read(struct.calcsize(_HEADER_FMT))
+            if len(raw) != struct.calcsize(_HEADER_FMT):
+                raise ValueError(f"dataset truncated: header has {len(raw)} bytes")
             magic, version, d, M, N, bmin, bmax, tmin, T = struct.unpack(_HEADER_FMT, raw)
             if magic != MAGIC:
                 raise ValueError("not a trajectory dataset file")
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported dataset version {version}")
-            times = np.frombuffer(f.read(8 * M), dtype="<f8").copy()
+            raw = f.read(8 * M)
+            if len(raw) != 8 * M:
+                raise ValueError(f"dataset truncated: expected {M} grid times")
+            times = np.frombuffer(raw, dtype="<f8").copy()
             payload = np.frombuffer(f.read(), dtype="<f4")
         per_rec = d + M * d
         if payload.size != N * per_rec:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flowop.cli import ConfigError, parse_config, run
+from flowop.cli import _DEFAULTS, ConfigError, parse_config, run
 from flowop.trajectories import TrajectoryDataset
 
 
@@ -68,6 +68,9 @@ def test_invalid_section_values(tmp_path):
     path.write_text(json.dumps({"model": {"J": 9}}))
     with pytest.raises(ConfigError, match="model"):
         parse_config(path)
+    path.write_text(json.dumps({"model": {"slope": 1.5}}))
+    with pytest.raises(ConfigError, match="model: slope"):
+        parse_config(path)
 
 
 def test_model_dimension_follows_mixture(tmp_path):
@@ -128,6 +131,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps({"bogus": 1}))
     assert run(["train", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_bad_slope_exit_code(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, model={"slope": 1.5})
+    assert run(["gen-data", "--config", str(cfg_path)]) == 2
+    assert "config error: model: " in capsys.readouterr().err
+
+
+def test_cli_bad_steps_override_exit_code(tmp_path, capsys):
+    # default warmup is 500 steps, so 7 total steps is invalid as well as 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": {"path": str(tmp_path / "none.bin")}}))
+    for steps in ("0", "7"):
+        assert run(["train", "--config", str(path), "--steps", steps]) == 2
+        assert "config error: training: " in capsys.readouterr().err
+
+
+def test_cli_overrides_leave_defaults_alone(tmp_path):
+    # no training section: the override must not write into _DEFAULTS
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": {"path": str(tmp_path / "none.bin")},
+                                "out_dir": str(tmp_path / "run")}))
+    assert run(["train", "--config", str(path), "--steps", "600", "--seed", "3"]) == 1
+    assert _DEFAULTS["training"]["total_steps"] == 20000
+    assert _DEFAULTS["training"]["seed"] == 0
 
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):

@@ -3,8 +3,9 @@ import pytest
 
 from flowop.nnops import (Tensor, add, affine_pointwise, dft_at_positions,
                           dft_truncated, grad_check, idft_at, leaky_relu,
-                          mode_multiply, param, scale, sum_squares,
-                          time_embedding, weighted_l1)
+                          mode_multiply, no_record, param, scale,
+                          spectral_conv, sum_squares, time_embedding,
+                          weighted_l1)
 
 
 def _rand(rng, *shape):
@@ -111,6 +112,67 @@ def test_leaky_relu_values():
     assert np.allclose(out, [-0.2, -0.05, 0.0, 0.5, 2.0])
 
 
+def _spectral_chain(R, u, positions, M):
+    J = R.value.shape[0]
+    return idft_at(mode_multiply(R, dft_at_positions(u, J, positions, M)), M, positions)
+
+
+def _value_and_grads(op, R, u, positions, M, g):
+    """op's output and the gradients of sum(g * output) w.r.t. R and u."""
+    Rt, ut = param(R), param(u)
+    out = op(Rt, ut, positions, M)
+    Tensor(np.asarray(np.sum(g * out.value)), (out,), lambda s: (s * g,)).backward()
+    return out.value, Rt.grad, ut.grad
+
+
+def test_spectral_conv_matches_reference_chain():
+    # both sides of the dense/factored choice (Q <= 2J vs Q > 2J), batched
+    # and unbatched, at integer, fractional and dense query positions
+    rng = np.random.default_rng(10)
+    M, J, C, K = 4, 3, 5, 6
+    for Q in (M, 2 * M, 64):
+        positions = np.arange(Q) * M / Q
+        for lead in ((), (3,), (2, 3)):
+            u = _rand(rng, *lead, Q, C)
+            R = _rand(rng, J, K, C) + 1j * _rand(rng, J, K, C)
+            g = _rand(rng, *lead, Q, K)
+            ref = _value_and_grads(_spectral_chain, R, u, positions, M, g)
+            got = _value_and_grads(spectral_conv, R, u, positions, M, g)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_spectral_conv_shape_check():
+    with pytest.raises(ValueError):
+        spectral_conv(param(np.zeros((3, 2, 2), complex)), param(np.zeros((5, 2))),
+                      np.arange(4.0), 4)
+
+
+def test_leaky_relu_bit_identical_to_mask_formula():
+    # max(u, slope*u) and its mask gradient reproduce u * where(u >= 0, 1, slope)
+    rng = np.random.default_rng(11)
+    u = np.concatenate([_rand(rng, 64), [0.0, -0.0, 1e-300, -1e-300]])
+    g = _rand(rng, u.size)
+    for slope in (0.0, 0.01, 0.5):
+        mask = np.where(u >= 0, 1.0, slope)
+        out = leaky_relu(param(u), slope)
+        assert out.value.tobytes() == (u * mask).tobytes()
+        assert out._backward(g)[0].tobytes() == (g * mask).tobytes()
+
+
+def test_no_record_builds_no_graph_and_restores():
+    a, b = param(np.ones(2)), param(np.ones(2))
+    with pytest.raises(RuntimeError):
+        with no_record():
+            out = add(a, b)
+            assert out._parents == () and out._backward is None
+            raise RuntimeError("inside the scope")
+    loss = sum_squares(add(a, b))
+    loss.backward()
+    assert np.allclose(a.grad, 4.0)
+
+
 def test_time_embedding_structure():
     e = time_embedding(0.0, 8)
     assert e.shape == (8,)
@@ -204,6 +266,22 @@ def test_grad_check_spectral_chain():
         return weighted_l1(v, t, w)
 
     assert grad_check(f, [u, R]) < 1e-6
+
+
+def test_grad_check_spectral_conv():
+    rng = np.random.default_rng(12)
+    M, J, C = 4, 3, 3
+    for Q in (M, 9):
+        q = np.sort(rng.uniform(0, M, Q))
+        u = param(_rand(rng, 2, Q, C))
+        R = param(_rand(rng, J, C, C) + 1j * _rand(rng, J, C, C))
+        t = _rand(rng, 2, Q, C)
+        w = np.abs(_rand(rng, Q)) + 0.2
+
+        def f(ps):
+            return weighted_l1(spectral_conv(ps[1], ps[0], q, M), t, w)
+
+        assert grad_check(f, [u, R]) < 1e-6
 
 
 def test_grad_check_fractional_queries():

@@ -44,6 +44,10 @@ def test_config_validation():
         DsnoConfig(M=4, J=4)
     with pytest.raises(ValueError):
         DsnoConfig(C=0)
+    for slope in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="slope"):
+            DsnoConfig(slope=slope)
+    DsnoConfig(slope=0.0)
 
 
 def test_param_count_matches_walker():
@@ -135,6 +139,23 @@ def test_forward_loss_gradients(grid4):
         return forward_loss(p, x, grid4, target, w)
 
     assert grad_check(f, p.tensors(), step=1e-5) < 1e-5
+
+
+def test_inference_leaves_tape_recording(grid4):
+    # forward/query_at build no graph, and neither leaves the tape off,
+    # even when they raise inside the no-record scope
+    cfg = DsnoConfig(d=2, C=4, L=1, J=3, M=4, E=8)
+    p = init_params(cfg, seed=17)
+    with pytest.raises(ValueError):
+        forward(p, np.zeros((2, 3)), grid4)
+    with pytest.raises(ValueError):
+        query_at(p, np.zeros((2, 3)), grid4, grid4.times)
+    forward(p, np.zeros((2, 2)), grid4)
+    rng = np.random.default_rng(18)
+    loss = forward_loss(p, rng.standard_normal((2, 2)), grid4,
+                        rng.standard_normal((2, 4, 2)), np.ones(4))
+    loss.backward()
+    assert all(t.grad is not None and np.any(t.grad != 0) for t in p.tensors())
 
 
 # ------------------------------------------------------------------- queries

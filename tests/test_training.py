@@ -173,6 +173,14 @@ def test_resume_matches_uninterrupted(tmp_path, tiny_dataset):
         assert np.array_equal(ta.value, tb.value)
 
 
+def test_train_checkpoints_into_new_directory(tmp_path, tiny_dataset):
+    out = tmp_path / "new" / "run"
+    train(tiny_dataset, tiny_train_config(total_steps=4, warmup_steps=2),
+          TINY_MODEL, out_dir=str(out), checkpoint_every=2)
+    assert (out / "ckpt_0000002.bin").exists()
+    assert (out / "ckpt_0000004.bin").exists()
+
+
 def test_train_checkpoint_round_trip(tmp_path):
     p = init_params(TINY_MODEL, seed=2)
     st = OptimizerState.fresh(p.tensors())

@@ -224,9 +224,14 @@ def test_dataset_header_layout(tmp_path, sched, bimodal, grid4):
 def test_dataset_truncation_detected(tmp_path, sched, bimodal, grid4):
     path = tmp_path / "t.bin"
     generate_dataset(bimodal, sched, grid4, N=4, base_seed=0, substeps=4, path=path)
-    path.write_bytes(path.read_bytes()[:-8])
+    full = path.read_bytes()
+    path.write_bytes(full[:-8])
     with pytest.raises(ValueError, match="truncated"):
         TrajectoryDataset.load(path)
+    for cut in (20, 60, 77):       # inside the fixed header, inside the grid times
+        path.write_bytes(full[:cut])
+        with pytest.raises(ValueError, match="dataset truncated"):
+            TrajectoryDataset.load(path)
 
 
 def test_dataset_endpoints_match_data_statistics(sched, bimodal, grid4):
