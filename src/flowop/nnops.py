@@ -130,7 +130,8 @@ def leaky_relu(u: Tensor, slope: float = 0.01) -> Tensor:
     np.maximum(u.value, out, out=out)
 
     def bw(g):
-        mask = np.maximum(u.value >= 0, slope)
+        # float(): an integer slope would make an integer mask
+        mask = np.maximum(u.value >= 0, float(slope))
         mask *= g
         return (mask,)
 
@@ -221,13 +222,24 @@ def _re_im_rows(Z: np.ndarray) -> np.ndarray:
     return np.stack([Z.real, Z.imag], axis=1).reshape(2 * Z.shape[0], *Z.shape[1:])
 
 
+def _dense_spectral_map(Q: int, J: int) -> bool:
+    """Whether spectral_conv applies its dense map at Q positions and J modes.
+
+    Per sample the dense map costs 2 Q^2 C K flops and the factored path's
+    per-mode product 8 J C K. The dense map runs as one large GEMM, about
+    twice as efficient as the factored path's batched small matmuls, so it
+    is the faster path while Q^2 < 8J (Q <= 4 at J = 3).
+    """
+    return Q * Q < 8 * J
+
+
 def spectral_conv(R: Tensor, u: Tensor, positions, M: int) -> Tensor:
     """idft_at(mode_multiply(R, dft_at_positions(u, J, positions, M)), M,
     positions) as one real op: (..., Q, C) -> (..., Q, K) for R (J, K, C).
 
-    For Q <= 2J the branch is applied as one dense real (Q*C, Q*K) map
-    per sample, T[m,l,n,k] = Re sum_j F[j,m] R[j,k,l] B[j,n]. The map grows
-    as Q^2, so for larger Q (dense queries) the transform stays factored:
+    For small Q (see _dense_spectral_map) the branch is applied as one dense
+    real (Q*C, Q*K) map per sample, T[m,l,n,k] = Re sum_j F[j,m] R[j,k,l] B[j,n].
+    The map grows as Q^2, so for larger Q (dense queries) it stays factored:
     the real and imaginary DFT rows, a real per-mode product, and the
     inverse rows, each one batched matmul.
     """
@@ -241,7 +253,7 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int) -> Tensor:
     F = _dft_basis(J, positions, M)                           # (J, Q)
     B = _idft_basis(J, M, positions)                          # (J, Q)
 
-    if Q <= 2 * J:
+    if _dense_spectral_map(Q, J):
         # P[(m, n), j] = F[j, m] B[j, n]; A holds its conjugate as real columns
         P = (F[:, :, None] * B[:, None, :]).reshape(J, Q * Q)
         A = _re_im_rows(np.conj(P)).T                         # (Q*Q, 2J)

@@ -139,6 +139,13 @@ def test_cli_bad_slope_exit_code(tmp_path, capsys):
     assert "config error: model: " in capsys.readouterr().err
 
 
+def test_cli_integer_slope_trains(tmp_path):
+    # "slope": 0 is a plain ReLU and arrives from JSON as an int
+    cfg_path = write_config(tmp_path, model={"slope": 0})
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    assert run(["train", "--config", str(cfg_path), "--steps", "3"]) == 0
+
+
 def test_cli_bad_steps_override_exit_code(tmp_path, capsys):
     # default warmup is 500 steps, so 7 total steps is invalid as well as 0
     path = tmp_path / "c.json"

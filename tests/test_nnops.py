@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from flowop.nnops import (Tensor, add, affine_pointwise, dft_at_positions,
-                          dft_truncated, grad_check, idft_at, leaky_relu,
-                          mode_multiply, no_record, param, scale,
+from flowop.nnops import (Tensor, _dense_spectral_map, add, affine_pointwise,
+                          dft_at_positions, dft_truncated, grad_check, idft_at,
+                          leaky_relu, mode_multiply, no_record, param, scale,
                           spectral_conv, sum_squares, time_embedding,
                           weighted_l1)
 
@@ -126,10 +126,11 @@ def _value_and_grads(op, R, u, positions, M, g):
 
 
 def test_spectral_conv_matches_reference_chain():
-    # both sides of the dense/factored choice (Q <= 2J vs Q > 2J), batched
-    # and unbatched, at integer, fractional and dense query positions
+    # both sides of the dense/factored choice, batched and unbatched, at
+    # integer, fractional and dense query positions
     rng = np.random.default_rng(10)
     M, J, C, K = 4, 3, 5, 6
+    assert [_dense_spectral_map(Q, J) for Q in (M, 2 * M, 64)] == [True, False, False]
     for Q in (M, 2 * M, 64):
         positions = np.arange(Q) * M / Q
         for lead in ((), (3,), (2, 3)):
@@ -154,7 +155,7 @@ def test_leaky_relu_bit_identical_to_mask_formula():
     rng = np.random.default_rng(11)
     u = np.concatenate([_rand(rng, 64), [0.0, -0.0, 1e-300, -1e-300]])
     g = _rand(rng, u.size)
-    for slope in (0.0, 0.01, 0.5):
+    for slope in (0, 0.0, 0.01, 0.5):
         mask = np.where(u >= 0, 1.0, slope)
         out = leaky_relu(param(u), slope)
         assert out.value.tobytes() == (u * mask).tobytes()
