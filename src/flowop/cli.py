@@ -41,6 +41,11 @@ _DEFAULTS = {
 }
 
 
+# a leaf's type follows its default's: what it accepts, and its name
+_LEAF_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
+
+
 def _merge_strict(defaults, given, path=""):
     if not isinstance(given, dict):
         raise ConfigError(f"config section {path or '<root>'} must be an object")
@@ -54,6 +59,10 @@ def _merge_strict(defaults, given, path=""):
             if isinstance(dval, dict):
                 out[key] = _merge_strict(dval, gval, path + key + ".")
             else:
+                rule = _LEAF_TYPES.get(type(dval))
+                if rule and (isinstance(gval, bool) or not isinstance(gval, rule[0])):
+                    raise ConfigError(f"config key {path + key!r} must be {rule[1]}, "
+                                      f"got {gval!r}")
                 out[key] = gval
         else:
             out[key] = copy.deepcopy(dval)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,7 +132,7 @@ def spectral_fraction(config: DsnoConfig) -> float:
 
 
 def temporal_conv(kernel: Tensor, u: Tensor, M: int, positions=None,
-                  slope: float = 0.01, collector: list | None = None) -> Tensor:
+                  slope: float = 0.01) -> Tensor:
     """u + leaky_relu(K u), K the truncated Fourier kernel operator.
 
     The shortcut is the identity and no bias enters the spectral branch.
@@ -141,17 +141,8 @@ def temporal_conv(kernel: Tensor, u: Tensor, M: int, positions=None,
     """
     if positions is None:
         positions = np.arange(M, dtype=float)
-    if collector is not None:
-        # the mode stack (..., J, K), computed beside the branch
-        u_hat = nnops.dft_at_positions(u, kernel.value.shape[0], positions, M)
-        collector.append(nnops.mode_multiply(kernel, u_hat).value)
     k_branch = nnops.spectral_conv(kernel, u, positions, M)
     return nnops.add(u, nnops.leaky_relu(k_branch, slope))
-
-
-def temporal_conv_k_branch(kernel: Tensor, u: Tensor, M: int) -> np.ndarray:
-    """The spectral branch K u before activation (for equivalence checks)."""
-    return nnops.spectral_conv(kernel, u, np.arange(M, dtype=float), M).value
 
 
 def _embed_matrix(times: np.ndarray, E: int) -> np.ndarray:
@@ -159,7 +150,7 @@ def _embed_matrix(times: np.ndarray, E: int) -> np.ndarray:
 
 
 def _forward_graph(params: DsnoParams, x_T: np.ndarray, times: np.ndarray,
-                   positions: np.ndarray, collector: list | None = None) -> Tensor:
+                   positions: np.ndarray) -> Tensor:
     cfg = params.config
     x_T = np.asarray(x_T, dtype=float)
     squeeze = x_T.ndim == 1
@@ -176,7 +167,7 @@ def _forward_graph(params: DsnoParams, x_T: np.ndarray, times: np.ndarray,
         t1 = nnops.leaky_relu(nnops.affine_pointwise(blk.W1, blk.b1, u), cfg.slope)
         t2 = nnops.affine_pointwise(blk.W2, blk.b2, t1)
         u = nnops.add(u, t2)
-        u = temporal_conv(blk.kernel, u, cfg.M, positions, cfg.slope, collector)
+        u = temporal_conv(blk.kernel, u, cfg.M, positions, cfg.slope)
     y = nnops.affine_pointwise(params.proj_W, params.proj_b, u)
     return y, squeeze
 
@@ -207,8 +198,7 @@ def query_positions(grid: TimeGrid, query_times) -> np.ndarray:
     return np.interp(q, asc_t, asc_idx)
 
 
-def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times,
-             collector: list | None = None) -> np.ndarray:
+def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times) -> np.ndarray:
     """Evaluate the trained operator at arbitrary times within the grid span.
 
     Querying exactly the training grid reproduces `forward` bit-for-bit
@@ -217,66 +207,87 @@ def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times,
     q = np.asarray(query_times, dtype=float)
     positions = query_positions(grid, q)
     with nnops.no_record():
-        y, squeeze = _forward_graph(params, x_T, q, positions, collector)
+        y, squeeze = _forward_graph(params, x_T, q, positions)
     return y.value[0] if squeeze else y.value
 
 
 _CKPT_MAGIC = b"FOP1"
 
 
-def _payload_bytes(tensors: list[np.ndarray]) -> bytes:
-    chunks = []
-    for v in tensors:
-        if np.iscomplexobj(v):
-            chunks.append(np.ascontiguousarray(v, dtype="<c16").tobytes())
-        else:
-            chunks.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    return b"".join(chunks)
+def _wire_dtype(a: np.ndarray) -> str:
+    return "<c16" if np.iscomplexobj(a) else "<f8"
 
 
-def _checksum(payload: bytes) -> int:
-    return struct.unpack("<Q", hashlib.sha256(payload).digest()[:8])[0]
+def _checksum(payload) -> bytes:
+    return hashlib.sha256(payload).digest()[:8]
+
+
+def _write_container(path, header: dict, arrays: list[np.ndarray]) -> None:
+    """Magic, u64 header length, canonical JSON header, every array as f64
+    little-endian (complex interleaved), then the payload's checksum: the
+    first 8 bytes of its sha256. Written to `path.tmp` and renamed over
+    `path`, so a failed write leaves any previous file intact."""
+    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = b"".join(np.ascontiguousarray(a, dtype=_wire_dtype(a)).tobytes()
+                       for a in arrays)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC + len(hbytes).to_bytes(8, "little") + hbytes)
+            f.write(payload)
+            f.write(_checksum(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _read_container(path, groups: int) -> tuple[dict, DsnoParams, list[list[np.ndarray]]]:
+    """Parse a `_write_container` file whose payload is `groups` copies of
+    the header config's parameter shapes. Returns the header, the params
+    holding the first group, and the remaining groups; any other size,
+    a truncated file or a checksum mismatch raises ValueError."""
+    with open(path, "rb") as f:
+        raw = memoryview(f.read())
+    if raw[:4] != _CKPT_MAGIC:
+        raise ValueError("not a checkpoint file")
+    hend = 12 + int.from_bytes(raw[4:12], "little")
+    if len(raw) < hend + 8:
+        raise ValueError("checkpoint truncated inside its header")
+    try:
+        header = json.loads(bytes(raw[12:hend]))
+        params = init_params(DsnoConfig.from_dict(header["config"]), seed=0)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"bad checkpoint header: {e}") from e
+    refs = [t.value for t in params.tensors()]
+    size = sum(a.nbytes for a in refs)       # f64 and c16, as on disk
+    payload = raw[hend:-8]
+    if len(payload) != groups * size:
+        raise ValueError(f"checkpoint payload has {len(payload)} bytes, expected "
+                         f"{groups} group(s) of {size}")
+    if raw[-8:] != _checksum(payload):
+        raise ValueError("checkpoint payload checksum mismatch")
+    offset, arrays = 0, []
+    for ref in refs * groups:
+        arrays.append(np.frombuffer(payload, _wire_dtype(ref), ref.size, offset)
+                      .reshape(ref.shape).copy())
+        offset += arrays[-1].nbytes
+    for t, a in zip(params.tensors(), arrays):
+        t.value = a
+    n = len(refs)
+    return header, params, [arrays[i:i + n] for i in range(n, len(arrays), n)]
 
 
 def save_checkpoint(path, params: DsnoParams, extra: dict | None = None) -> None:
-    """Header = canonical JSON (config + any extra scalars), then every
-    parameter tensor in declaration order as f64 little-endian (complex
-    interleaved), then a trailing u64 checksum of the payload."""
+    """Header = the model config plus any extra scalars, then every
+    parameter tensor in declaration order."""
     header = {"config": json.loads(params.config.to_json())}
     if extra:
         header["extra"] = extra
-    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = _payload_bytes([t.value for t in params.tensors()])
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<Q", len(hbytes)))
-        f.write(hbytes)
-        f.write(payload)
-        f.write(struct.pack("<Q", _checksum(payload)))
+    _write_container(path, header, [t.value for t in params.tensors()])
 
 
 def load_checkpoint(path) -> tuple[DsnoParams, dict]:
-    with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise ValueError("not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen))
-        rest = f.read()
-    payload, tail = rest[:-8], rest[-8:]
-    if struct.unpack("<Q", tail)[0] != _checksum(payload):
-        raise ValueError("checkpoint payload checksum mismatch")
-    config = DsnoConfig.from_dict(header["config"])
-    params = init_params(config, seed=0)
-    offset = 0
-    for _, t in params.named_tensors():
-        if np.iscomplexobj(t.value):
-            n = t.value.size * 16
-            arr = np.frombuffer(payload[offset:offset + n], dtype="<c16")
-        else:
-            n = t.value.size * 8
-            arr = np.frombuffer(payload[offset:offset + n], dtype="<f8")
-        t.value = arr.reshape(t.value.shape).copy()
-        offset += n
-    if offset != len(payload):
-        raise ValueError("checkpoint payload size mismatch")
+    header, params, _ = _read_container(path, groups=1)
     return params, header.get("extra", {})

@@ -69,7 +69,7 @@ def trajectory_spectrum_report(gm: GaussianMixture, sched: NoiseSchedule,
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     times = np.linspace(sched.t_max, sched.t_min, N)
-    grid = TimeGrid(times=times, scheme="uniform")
+    grid = TimeGrid(times=times)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((n_traj, gm.d))
     traj = solve_trajectory(gm, sched, x0, grid, solver=solver, substeps=substeps)

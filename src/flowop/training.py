@@ -122,54 +122,32 @@ class TrainResult:
 
 def save_train_checkpoint(path, params: DsnoParams, state: OptimizerState,
                           tc: TrainConfig) -> None:
-    extra = {"step": state.step, "train": dict(vars(tc))}
-    header = {"config": json.loads(params.config.to_json()), "extra": extra}
-    import struct
-    tensors = [t.value for t in params.tensors()] + state.m + state.v
-    payload = operator._payload_bytes(tensors)
-    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(operator._CKPT_MAGIC)
-        f.write(struct.pack("<Q", len(hbytes)))
-        f.write(hbytes)
-        f.write(payload)
-        f.write(struct.pack("<Q", operator._checksum(payload)))
+    """The model checkpoint container holding params, then Adam m, then v;
+    the header's extra holds the step and the train config."""
+    header = {"config": json.loads(params.config.to_json()),
+              "extra": {"step": state.step, "train": dict(vars(tc))}}
+    operator._write_container(
+        path, header, [t.value for t in params.tensors()] + state.m + state.v)
 
 
 def load_train_checkpoint(path) -> tuple[DsnoParams, OptimizerState, dict]:
-    import struct
-    with open(path, "rb") as f:
-        if f.read(4) != operator._CKPT_MAGIC:
-            raise ValueError("not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen))
-        rest = f.read()
-    payload, tail = rest[:-8], rest[-8:]
-    if struct.unpack("<Q", tail)[0] != operator._checksum(payload):
-        raise ValueError("checkpoint payload checksum mismatch")
-    config = DsnoConfig.from_dict(header["config"])
-    params = init_params(config, seed=0)
-    tensors = params.tensors()
-    state = OptimizerState.fresh(tensors)
-    state.step = header["extra"]["step"]
-    offset = 0
+    header, params, (m, v) = operator._read_container(path, groups=3)
+    extra = header["extra"]
+    return params, OptimizerState(m=m, v=v, step=extra["step"]), extra
 
-    def take(ref):
-        nonlocal offset
-        if np.iscomplexobj(ref):
-            n = ref.size * 16
-            arr = np.frombuffer(payload[offset:offset + n], dtype="<c16")
-        else:
-            n = ref.size * 8
-            arr = np.frombuffer(payload[offset:offset + n], dtype="<f8")
-        offset += n
-        return arr.reshape(ref.shape).copy()
 
-    for t in tensors:
-        t.value = take(t.value)
-    state.m = [take(m) for m in state.m]
-    state.v = [take(v) for v in state.v]
-    return params, state, header["extra"]
+def _check_resume(params: DsnoParams, extra: dict, mc: DsnoConfig,
+                  tc: TrainConfig) -> None:
+    """Refuse a checkpoint whose model or train config differs from this
+    run's in anything but total_steps."""
+    saved = {"model": vars(params.config), "train": extra["train"]}
+    given = {"model": vars(mc), "train": vars(tc)}
+    for section in saved:
+        for key in sorted(saved[section].keys() | given[section].keys()):
+            was, now = saved[section].get(key), given[section].get(key)
+            if key != "total_steps" and was != now:
+                raise ValueError(f"cannot resume: checkpoint has {section}.{key}="
+                                 f"{was!r}, this run has {now!r}")
 
 
 def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
@@ -186,7 +164,8 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
     if dataset.d != mc.d:
         raise ValueError("dataset/model dimension mismatch")
     if resume_from is not None:
-        params, state, _ = load_train_checkpoint(resume_from)
+        params, state, extra = load_train_checkpoint(resume_from)
+        _check_resume(params, extra, mc, tc)
         start = state.step
     else:
         params = init_params(mc, seed=tc.seed)

@@ -23,7 +23,6 @@ FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class TimeGrid:
     times: np.ndarray   # strictly decreasing, within (0, s]
-    scheme: str         # "uniform" | "quadratic"
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -57,7 +56,7 @@ def make_time_grid(M: int, scheme: str, s: float, t_floor: float) -> TimeGrid:
         frac = (m / M) ** 2
     else:
         raise ValueError(f"unknown grid scheme {scheme!r}")
-    return TimeGrid(times=t_floor + (s - t_floor) * frac, scheme=scheme)
+    return TimeGrid(times=t_floor + (s - t_floor) * frac)
 
 
 def pf_rhs(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:
@@ -193,18 +192,10 @@ class TrajectoryDataset:
             raise ValueError(f"dataset truncated: expected {N} records")
         payload = payload.reshape(N, per_rec)
         sched = NoiseSchedule(beta_min=bmin, beta_max=bmax, t_max=T, t_min=tmin)
-        scheme = _infer_scheme(times, T)
         return cls(sched=sched,
-                   grid=TimeGrid(times=times, scheme=scheme),
+                   grid=TimeGrid(times=times),
                    x_T=payload[:, :d].copy(),
                    values=payload[:, d:].reshape(N, M, d).copy())
-
-
-def _infer_scheme(times: np.ndarray, T: float) -> str:
-    """Best-effort grid-scheme label for a loaded file (not used numerically)."""
-    if times.size >= 3 and np.allclose(np.diff(times), np.diff(times)[0]):
-        return "uniform"
-    return "quadratic"
 
 
 def generate_dataset(gm: GaussianMixture, sched: NoiseSchedule, grid: TimeGrid,

@@ -28,3 +28,27 @@ def single_gaussian():
 @pytest.fixture
 def grid4(sched):
     return make_time_grid(4, "quadratic", sched.t_max, sched.t_min)
+
+
+@pytest.fixture
+def mode_stacks():
+    """Runs fn() and returns its result with the mode stack (..., J, K) of
+    every spectral branch it ran, mode_multiply(R, dft_at_positions(u, J,
+    positions, M)), recorded by wrapping nnops.spectral_conv."""
+    from flowop import nnops
+    spectral_conv = nnops.spectral_conv
+
+    def run(fn):
+        calls = []
+
+        def record(R, u, positions, M):
+            calls.append((R, u, positions, M))
+            return spectral_conv(R, u, positions, M)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nnops, "spectral_conv", record)
+            out = fn()
+        return out, [nnops.mode_multiply(R, nnops.dft_at_positions(
+            u, R.value.shape[0], positions, M)).value for R, u, positions, M in calls]
+
+    return run

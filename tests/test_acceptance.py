@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from flowop.mixture import GaussianMixture, default_bimodal, sample_data
-from flowop.nnops import grad_check, param
+from flowop.nnops import grad_check, param, spectral_conv
 from flowop.operator import (DsnoConfig, forward, forward_loss, init_params,
-                             load_checkpoint, query_at, save_checkpoint,
-                             temporal_conv_k_branch)
+                             load_checkpoint, query_at, save_checkpoint)
 from flowop.schedule import NoiseSchedule
 from flowop.trajectories import (TimeGrid, TrajectoryDataset, generate_dataset,
                                  make_time_grid, pf_rhs, solve_trajectory,
@@ -45,7 +44,7 @@ def _tilde(s2, t):
 #    must stay at the initial condition.
 def test_criterion_01_constant_trajectory(report):
     gm = GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], variances=[1.0])
-    grid = TimeGrid(times=np.linspace(SCHED.t_max, SCHED.t_min, 8), scheme="uniform")
+    grid = TimeGrid(times=np.linspace(SCHED.t_max, SCHED.t_min, 8))
     x0 = np.random.default_rng(0).standard_normal((32, 2))
     traj = solve_trajectory(gm, SCHED, x0, grid, solver="heun", substeps=128)
     err = float(np.max(np.abs(traj.values - x0[:, None, :])))
@@ -118,7 +117,7 @@ def test_criterion_05_spectral_layer_equivalence(report):
         J, C = M // 2 + 1, 3
         R = rng.standard_normal((J, C, C)) + 1j * rng.standard_normal((J, C, C))
         u = rng.standard_normal((M, C))
-        fast = temporal_conv_k_branch(param(R), param(u), M)
+        fast = spectral_conv(param(R), param(u), np.arange(M, dtype=float), M).value
         r = impulse_response(R, M)
         slow = np.zeros_like(u)
         for n in range(M):
@@ -191,7 +190,7 @@ def test_criterion_07_end_to_end_distillation(report):
 @pytest.mark.slow
 def test_criterion_08_resolution_ablation(report):
     t_shared = [SCHED.t_max, SCHED.t_min + (SCHED.t_max - SCHED.t_min) * 0.25]
-    shared_grid = TimeGrid(times=np.array(t_shared), scheme="quadratic")
+    shared_grid = TimeGrid(times=np.array(t_shared))
     held = generate_dataset(BIMODAL, SCHED, shared_grid, N=512,
                             base_seed=20_000_000, substeps=64)
     truth = held.values.astype(float)
@@ -236,7 +235,7 @@ def test_criterion_09_spectrum_compactness(report):
 
 # 10. Query consistency: grid queries reproduce forward bit-for-bit;
 #     dense queries are finite and the spectral branch stays band-limited.
-def test_criterion_10_query_consistency(report):
+def test_criterion_10_query_consistency(report, mode_stacks):
     grid = make_time_grid(4, "quadratic", SCHED.t_max, SCHED.t_min)
     cfg = DsnoConfig()
     p = init_params(cfg, seed=9)
@@ -247,8 +246,7 @@ def test_criterion_10_query_consistency(report):
     M2 = 2 * cfg.M
     idx = np.arange(M2) * cfg.M / M2
     dense_times = np.interp(idx, np.arange(cfg.M), grid.times)
-    got = []
-    out = query_at(p, x[0], grid, dense_times, collector=got)
+    out, got = mode_stacks(lambda: query_at(p, x[0], grid, dense_times))
     finite = out.shape == (M2, 2) and bool(np.all(np.isfinite(out)))
 
     from flowop.nnops import idft_at

@@ -57,6 +57,17 @@ def test_missing_file():
         parse_config("/nonexistent/config.json")
 
 
+# leaves whose type differs from their default's
+BAD_TYPES = [
+    ({"grid": {"M": "4"}}, r"'grid.M' must be an integer, got '4'"),
+    ({"dataset": {"N": 2.5}}, r"'dataset.N' must be an integer, got 2.5"),
+    ({"model": {"C": True}}, r"'model.C' must be an integer, got True"),
+    ({"grid": {"M": 4.0}}, r"'grid.M' must be an integer, got 4.0"),
+    ({"training": {"base_lr": True}}, r"'training.base_lr' must be a number, got True"),
+    ({"out_dir": 5}, r"'out_dir' must be a string, got 5"),
+]
+
+
 def test_invalid_section_values(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"schedule": {"beta_min": -1.0}}))
@@ -71,6 +82,10 @@ def test_invalid_section_values(tmp_path):
     path.write_text(json.dumps({"model": {"slope": 1.5}}))
     with pytest.raises(ConfigError, match="model: slope"):
         parse_config(path)
+    for raw, match in BAD_TYPES:
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=match):
+            parse_config(path)
 
 
 def test_model_dimension_follows_mixture(tmp_path):
@@ -128,9 +143,10 @@ def test_cli_steps_and_out_overrides(tmp_path):
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"bogus": 1}))
-    assert run(["train", "--config", str(bad)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for raw in [{"bogus": 1}] + [raw for raw, _ in BAD_TYPES]:
+        bad.write_text(json.dumps(raw))
+        assert run(["train", "--config", str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_cli_bad_slope_exit_code(tmp_path, capsys):

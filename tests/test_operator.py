@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from flowop.nnops import grad_check, idft_at, param
+from flowop.nnops import grad_check, idft_at, param, spectral_conv
 from flowop.operator import (DsnoConfig, count_parameters, forward, forward_loss,
                              init_params, load_checkpoint, param_count, query_at,
                              query_positions, save_checkpoint, spectral_fraction,
-                             temporal_conv, temporal_conv_k_branch)
+                             temporal_conv)
 from flowop.trajectories import make_time_grid
+from flowop.training import (OptimizerState, TrainConfig, load_train_checkpoint,
+                             save_train_checkpoint)
 
 
 def small_config(**kw):
@@ -83,7 +85,7 @@ def test_temporal_conv_is_circular_convolution():
         J, K, L = M // 2 + 1, 3, 3
         R = rng.standard_normal((J, K, L)) + 1j * rng.standard_normal((J, K, L))
         u = rng.standard_normal((M, L))
-        fast = temporal_conv_k_branch(param(R), param(u), M)
+        fast = spectral_conv(param(R), param(u), np.arange(M, dtype=float), M).value
         slow = circ_conv(u, kernel_impulse_response(R, M))
         assert np.max(np.abs(fast - slow)) < 1e-10
 
@@ -95,16 +97,6 @@ def test_temporal_conv_shortcut_identity():
     R = np.zeros((cfg.J, cfg.C, cfg.C), dtype=complex)
     out = temporal_conv(param(R), param(u), cfg.M).value
     assert np.array_equal(out, u)
-
-
-def test_temporal_conv_collector_captures_modes():
-    cfg = small_config()
-    rng = np.random.default_rng(2)
-    u = rng.standard_normal((cfg.M, cfg.C))
-    R = rng.standard_normal((cfg.J, cfg.C, cfg.C)) * (1 + 0.5j)
-    got = []
-    temporal_conv(param(R), param(u), cfg.M, collector=got)
-    assert len(got) == 1 and got[0].shape == (cfg.J, cfg.C)
 
 
 # ------------------------------------------------------------------- forward
@@ -196,18 +188,17 @@ def test_query_at_dense_times_finite(grid4):
     assert np.all(np.isfinite(out))
 
 
-def test_dense_query_preserves_band_limited_modes(grid4):
+def test_dense_query_preserves_band_limited_modes(grid4, mode_stacks):
     # the spectral branch sampled at 2M equispaced index positions is
     # band-limited: its fine DFT vanishes above the retained band and
     # reproduces the mode stack it was decoded from
     cfg = small_config()
     p = init_params(cfg, seed=11)
     x = np.random.default_rng(12).standard_normal(2)
-    got = []
     M2 = 2 * cfg.M
     idx = np.arange(M2) * cfg.M / M2
     dense_times = np.interp(idx, np.arange(cfg.M), grid4.times)
-    out = query_at(p, x, grid4, dense_times, collector=got)
+    out, got = mode_stacks(lambda: query_at(p, x, grid4, dense_times))
     assert out.shape == (M2, 2)
     assert len(got) == cfg.L
     for W in got:                                      # (1, J, C) mode stack
@@ -269,3 +260,67 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="not a checkpoint"):
         load_checkpoint(path)
+
+
+def _numbered_checkpoints(tmp_path):
+    """A model and a train checkpoint of a tiny model whose values are
+    fixed numbers, not draws, so their bytes are fixed."""
+    p = init_params(DsnoConfig(d=2, C=2, L=1, J=1, M=1, E=2), seed=0)
+    for i, t in enumerate(p.tensors()):
+        v = np.arange(t.value.size, dtype=float).reshape(t.value.shape) / 7 + i
+        t.value = v * (1 - 0.5j) if np.iscomplexobj(t.value) else v
+    state = OptimizerState(m=[t.value / 3 for t in p.tensors()],
+                           v=[t.value / 5 for t in p.tensors()], step=9)
+    model, trained = tmp_path / "model.bin", tmp_path / "train.bin"
+    save_checkpoint(model, p, extra={"steps": 3})
+    save_train_checkpoint(trained, p, state,
+                          TrainConfig(batch_size=4, total_steps=5, warmup_steps=1))
+    return model, trained
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    # the on-disk format of both checkpoint kinds, byte for byte
+    import hashlib
+    model, trained = _numbered_checkpoints(tmp_path)
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+        "0cd7b481d968c48ea7dfa3af46372a5c317e1ba59f5d38038e72ac36946bd20e")
+    assert hashlib.sha256(trained.read_bytes()).hexdigest() == (
+        "ecc06589a6f7538de069b15cf7f93bfab82bdfedc6f74570df0e8dac9861aaca")
+
+
+def test_checkpoint_truncated_at_every_length(tmp_path):
+    for path in _numbered_checkpoints(tmp_path):
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            for load in (load_checkpoint, load_train_checkpoint):
+                with pytest.raises(ValueError):
+                    load(cut)
+
+
+def test_checkpoint_kinds_not_interchangeable(tmp_path):
+    model, trained = _numbered_checkpoints(tmp_path)
+    with pytest.raises(ValueError, match="expected 1 group"):
+        load_checkpoint(trained)
+    with pytest.raises(ValueError, match="expected 3 group"):
+        load_train_checkpoint(model)
+
+
+@pytest.mark.parametrize("failing", ["_checksum", "replace"])
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, failing):
+    # a failure mid-write (the checksum comes last) or at the rename
+    # leaves the previous file byte-identical and no temporary behind
+    import flowop.operator as op
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, init_params(small_config(), seed=1))
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("injected")
+
+    monkeypatch.setattr(op if failing == "_checksum" else op.os, failing, fail)
+    with pytest.raises(OSError, match="injected"):
+        save_checkpoint(path, init_params(small_config(), seed=2))
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["model.bin"]

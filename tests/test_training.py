@@ -157,20 +157,40 @@ def test_train_writes_loss_curve(tmp_path, tiny_dataset):
     assert int(step) == 0 and float(lr) > 0 and float(loss) > 0
 
 
+def _checkpoint_at_step_4(tmp_path, dataset, tc):
+    ckpt_dir = tmp_path / "ck"
+    ckpt_dir.mkdir()
+    train(dataset, TrainConfig(**{**vars(tc), "total_steps": 4}), TINY_MODEL,
+          out_dir=str(ckpt_dir), checkpoint_every=4)
+    return str(ckpt_dir / "ckpt_0000004.bin")
+
+
 def test_resume_matches_uninterrupted(tmp_path, tiny_dataset):
     # checkpoint mid-run, resume, and demand the exact same parameter trace
     tc = tiny_train_config(total_steps=8, warmup_steps=2)
     full = train(tiny_dataset, tc, TINY_MODEL)
-
-    ckpt_dir = tmp_path / "ck"
-    ckpt_dir.mkdir()
-    train(tiny_dataset, TrainConfig(**{**vars(tc), "total_steps": 4}),
-          TINY_MODEL, out_dir=str(ckpt_dir), checkpoint_every=4)
     resumed = train(tiny_dataset, tc, TINY_MODEL,
-                    resume_from=str(ckpt_dir / "ckpt_0000004.bin"))
+                    resume_from=_checkpoint_at_step_4(tmp_path, tiny_dataset, tc))
     for (_, ta), (_, tb) in zip(full.params.named_tensors(),
                                 resumed.params.named_tensors()):
         assert np.array_equal(ta.value, tb.value)
+
+
+def test_resume_refuses_other_model(tmp_path, tiny_dataset):
+    tc = tiny_train_config(total_steps=8, warmup_steps=2)
+    ckpt = _checkpoint_at_step_4(tmp_path, tiny_dataset, tc)
+    other = DsnoConfig(d=2, C=16, L=2, J=3, M=4, E=8)
+    with pytest.raises(ValueError, match="model.C=8, this run has 16"):
+        train(tiny_dataset, tc, other, resume_from=ckpt)
+
+
+def test_resume_refuses_other_train_config(tmp_path, tiny_dataset):
+    tc = tiny_train_config(total_steps=8, warmup_steps=2)
+    ckpt = _checkpoint_at_step_4(tmp_path, tiny_dataset, tc)
+    for key, val in (("seed", 5), ("batch_size", 32), ("base_lr", 2e-3)):
+        other = TrainConfig(**{**vars(tc), key: val})
+        with pytest.raises(ValueError, match=f"train.{key}="):
+            train(tiny_dataset, other, TINY_MODEL, resume_from=ckpt)
 
 
 def test_train_checkpoints_into_new_directory(tmp_path, tiny_dataset):
