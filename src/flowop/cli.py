@@ -117,9 +117,6 @@ class ExperimentConfig:
                 yield prefix[:-1], json.dumps(obj)
         yield from walk("", self.raw)
 
-    def to_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-
 
 def parse_config(path) -> ExperimentConfig:
     try:
@@ -232,9 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("gen-data", "train", "sample", "eval", "spectrum"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
         sp.add_argument("--out", default=None)
+        if name != "gen-data":
+            sp.add_argument("--seed", type=int, default=None)
+        if name == "train":
+            sp.add_argument("--steps", type=int, default=None)
         if name in ("sample", "eval", "spectrum"):
             sp.add_argument("--n", type=int,
                             default={"sample": 1000, "eval": 10000, "spectrum": 100}[name])
@@ -247,13 +246,14 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    steps, seed = getattr(args, "steps", None), getattr(args, "seed", None)
     try:
         cfg = parse_config(args.config)
-        if args.steps is not None:
-            cfg.raw["training"]["total_steps"] = args.steps
-        if args.seed is not None:
-            cfg.raw["training"]["seed"] = args.seed
-        if args.steps is not None or args.seed is not None:
+        if steps is not None:
+            cfg.raw["training"]["total_steps"] = steps
+        if seed is not None:
+            cfg.raw["training"]["seed"] = seed
+        if steps is not None or seed is not None:
             cfg.training = _training_config(cfg.raw["training"])
         if args.out is not None:
             cfg.raw["out_dir"] = args.out
@@ -261,18 +261,17 @@ def run(argv) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else cfg.training.seed
     try:
         if args.command == "gen-data":
             results = cmd_gen_data(cfg)
         elif args.command == "train":
             results = cmd_train(cfg)
         elif args.command == "sample":
-            results = cmd_sample(cfg, args.n, seed)
+            results = cmd_sample(cfg, args.n, cfg.training.seed)
         elif args.command == "eval":
-            results = cmd_eval(cfg, args.n, seed)
+            results = cmd_eval(cfg, args.n, cfg.training.seed)
         elif args.command == "spectrum":
-            results = cmd_spectrum(cfg, args.n, seed)
+            results = cmd_spectrum(cfg, args.n, cfg.training.seed)
         else:  # pragma: no cover
             print(f"unknown command {args.command}", file=sys.stderr)
             return 2

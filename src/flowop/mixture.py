@@ -88,19 +88,6 @@ def _log_responsibilities(gm, sched, x, t):
     return log_comp - log_norm, mp
 
 
-def log_density(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
-    """Exact log of the perturbed mixture density at (x, t)."""
-    x = np.asarray(x, dtype=float)
-    mp = marginal_params(gm, sched, t)
-    diff = x[..., None, :] - mp.means_t
-    sq = np.sum(diff * diff, axis=-1)
-    d = gm.d
-    log_comp = (np.log(mp.weights)
-                - 0.5 * sq / mp.vars_t
-                - 0.5 * d * np.log(2.0 * np.pi * mp.vars_t))
-    return np.logaddexp.reduce(log_comp, axis=-1)
-
-
 def responsibilities(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:
     log_r, _ = _log_responsibilities(gm, sched, x, t)
     return np.exp(log_r)

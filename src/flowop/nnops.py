@@ -3,7 +3,7 @@
 A small reverse-mode tape over numpy arrays, with exactly the primitives
 the operator network needs: pointwise affines, leaky ReLU, truncated
 temporal DFTs with arbitrary-position evaluation, complex per-mode kernel
-products, the fused spectral convolution built from them, and a weighted
+products, the spectral convolution built from them, and a weighted
 l1 loss. Complex tensors carry gradients in the dL/dRe + i*dL/dIm
 convention. Everything runs in double precision.
 """
@@ -57,17 +57,8 @@ class Tensor:
     def backward(self):
         if self.value.ndim != 0:
             raise ValueError("backward() needs a scalar loss")
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            topo.append(node)
-
-        visit(self)
+        topo = []
+        _postorder(self, set(), topo)
         for node in topo:
             node.grad = None
         self.grad = np.ones((), dtype=float)
@@ -78,6 +69,19 @@ class Tensor:
                 if g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def _postorder(node: Tensor, seen: set, topo: list) -> None:
+    """Append node's unseen ancestors, then node, to topo. Not a closure: a
+    recursive closure is a reference cycle, which would keep each graph's
+    values and gradients alive after backward() until the cyclic collector
+    runs."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for p in node._parents:
+        _postorder(p, seen, topo)
+    topo.append(node)
 
 
 def param(value) -> Tensor:
@@ -98,10 +102,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
     return Tensor(a.value + b.value, (a, b), bw)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    return Tensor(c * a.value, (a,), lambda g: (c * g,))
 
 
 def affine_pointwise(W: Tensor, b: Tensor, u: Tensor) -> Tensor:
@@ -138,6 +138,23 @@ def leaky_relu(u: Tensor, slope: float = 0.01) -> Tensor:
     return Tensor(out, (u,), bw)
 
 
+def _re_im_rows(Z: np.ndarray) -> np.ndarray:
+    """(J, ...) complex -> (2J, ...) real rows Re Z_0, Im Z_0, Re Z_1, ..."""
+    return np.stack([Z.real, Z.imag], axis=1).reshape(2 * Z.shape[0], *Z.shape[1:])
+
+
+def _re_im_cols(Z: np.ndarray) -> np.ndarray:
+    """(..., C) complex -> (..., 2C) real: Re | Im along the last axis."""
+    return np.concatenate([Z.real, Z.imag], axis=-1)
+
+
+def _from_re_im_cols(X: np.ndarray) -> np.ndarray:
+    """Inverse of _re_im_cols; the parts are copied exactly."""
+    out = np.empty((*X.shape[:-1], X.shape[-1] // 2), dtype=complex)
+    out.real, out.imag = np.split(X, 2, axis=-1)
+    return out
+
+
 def _dft_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
     """Forward basis F[j, i] = (M/Q) exp(-2i*pi*j*q_i/M) over index positions q_i.
 
@@ -151,23 +168,18 @@ def _dft_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
 
 
 def dft_at_positions(u: Tensor, J: int, positions, M: int) -> Tensor:
-    """Truncated forward transform of (..., Q, C) features sampled at
+    """Truncated forward transform of real (..., Q, C) features sampled at
     the given index positions of an M-point grid; returns (..., J, C)."""
-    F = _dft_basis(J, np.asarray(positions, dtype=float), M)
-    out = np.matmul(F, u.value)
+    Fs = _re_im_rows(_dft_basis(J, positions, M))             # (2J, Q)
+    uv = u.value
+    Q, C = uv.shape[-2:]
+    y = (Fs @ uv.reshape(-1, Q, C)).reshape(*uv.shape[:-2], J, 2 * C)
 
     def bw(g):
-        return (np.real(np.matmul(np.conj(F).T, g)),)
+        gy = _re_im_cols(g).reshape(-1, 2 * J, C)
+        return ((Fs.T @ gy).reshape(uv.shape),)
 
-    return Tensor(out, (u,), bw)
-
-
-def dft_truncated(u: Tensor, J: int) -> Tensor:
-    """One-sided unnormalized DFT over the temporal axis, modes 0..J-1."""
-    M = u.value.shape[-2]
-    if J > M // 2 + 1:
-        raise ValueError(f"J={J} exceeds M//2+1={M // 2 + 1}")
-    return dft_at_positions(u, J, np.arange(M), M)
+    return Tensor(_from_re_im_cols(y), (u,), bw)
 
 
 def mode_multiply(R: Tensor, u_hat: Tensor) -> Tensor:
@@ -175,21 +187,26 @@ def mode_multiply(R: Tensor, u_hat: Tensor) -> Tensor:
     if R.value.shape[0] != u_hat.value.shape[-2] or R.value.shape[2] != u_hat.value.shape[-1]:
         raise ValueError("kernel/coefficient shape mismatch")
     uv = u_hat.value
-    lead = uv.shape[:-2]
-    J, Cin = uv.shape[-2], uv.shape[-1]
-    K = R.value.shape[1]
-    x = uv.reshape(-1, J, Cin).transpose(1, 0, 2)                 # (J, B, Cin)
-    out = np.matmul(x, R.value.transpose(0, 2, 1))                # (J, B, K)
-    out = out.transpose(1, 0, 2).reshape(*lead, J, K)
+    J, K, C = R.value.shape
+    # W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]] maps the real pair
+    # (Re u_hat_j | Im u_hat_j) of mode j to (Re out_j | Im out_j)
+    Rt = R.value.transpose(0, 2, 1)                           # (J, C, K)
+    W = np.block([[Rt.real, Rt.imag], [-Rt.imag, Rt.real]])   # (J, 2C, 2K)
+    x = _re_im_cols(uv).reshape(-1, J, 2 * C)
+    y = np.empty((x.shape[0], J, 2 * K))
+    np.matmul(x.transpose(1, 0, 2), W, out=y.transpose(1, 0, 2))
 
     def bw(g):
-        gj = g.reshape(-1, J, K).transpose(1, 0, 2)               # (J, B, K)
-        gu = np.matmul(gj, np.conj(R.value))                      # (J, B, Cin)
-        gu = gu.transpose(1, 0, 2).reshape(uv.shape)
-        gR = np.matmul(gj.transpose(0, 2, 1), np.conj(x))         # (J, K, Cin)
-        return gR, gu
+        gy = _re_im_cols(g).reshape(-1, J, 2 * K).transpose(1, 0, 2)
+        gx = np.empty_like(x)
+        np.matmul(gy, W.transpose(0, 2, 1), out=gx.transpose(1, 0, 2))
+        gW = x.transpose(1, 2, 0) @ gy                        # (J, 2C, 2K)
+        gRe = gW[:, :C, :K] + gW[:, C:, K:]
+        gIm = gW[:, :C, K:] - gW[:, C:, :K]
+        gu = _from_re_im_cols(gx).reshape(uv.shape)
+        return (gRe + 1j * gIm).transpose(0, 2, 1), gu
 
-    return Tensor(out, (R, u_hat), bw)
+    return Tensor(_from_re_im_cols(y).reshape(*uv.shape[:-1], K), (R, u_hat), bw)
 
 
 def _idft_basis(J: int, M: int, queries: np.ndarray) -> np.ndarray:
@@ -207,19 +224,17 @@ def idft_at(u_hat: Tensor, M: int, queries) -> Tensor:
     """Real trigonometric interpolant of one-sided modes at (fractional)
     index positions; at the full integer grid with maximal J this is the
     exact inverse DFT."""
-    J = u_hat.value.shape[-2]
-    B = _idft_basis(J, M, np.asarray(queries, dtype=float))
-    out = np.real(np.matmul(B.T, u_hat.value))
+    uv = u_hat.value
+    J, K = uv.shape[-2:]
+    Bs = _re_im_rows(np.conj(_idft_basis(J, M, queries)))     # (2J, Q)
+    Q = Bs.shape[1]
+    out = (Bs.T @ _re_im_cols(uv).reshape(-1, 2 * J, K)).reshape(*uv.shape[:-2], Q, K)
 
     def bw(g):
-        return (np.matmul(np.conj(B), g.astype(complex)),)
+        gy = (Bs @ g.reshape(-1, Q, K)).reshape(*uv.shape[:-2], J, 2 * K)
+        return (_from_re_im_cols(gy),)
 
     return Tensor(out, (u_hat,), bw)
-
-
-def _re_im_rows(Z: np.ndarray) -> np.ndarray:
-    """(J, ...) complex -> (2J, ...) real rows Re Z_0, Im Z_0, Re Z_1, ..."""
-    return np.stack([Z.real, Z.imag], axis=1).reshape(2 * Z.shape[0], *Z.shape[1:])
 
 
 def _dense_spectral_map(Q: int, J: int) -> bool:
@@ -235,13 +250,12 @@ def _dense_spectral_map(Q: int, J: int) -> bool:
 
 def spectral_conv(R: Tensor, u: Tensor, positions, M: int) -> Tensor:
     """idft_at(mode_multiply(R, dft_at_positions(u, J, positions, M)), M,
-    positions) as one real op: (..., Q, C) -> (..., Q, K) for R (J, K, C).
+    positions): (..., Q, C) -> (..., Q, K) for R (J, K, C).
 
     For small Q (see _dense_spectral_map) the branch is applied as one dense
     real (Q*C, Q*K) map per sample, T[m,l,n,k] = Re sum_j F[j,m] R[j,k,l] B[j,n].
-    The map grows as Q^2, so for larger Q (dense queries) it stays factored:
-    the real and imaginary DFT rows, a real per-mode product, and the
-    inverse rows, each one batched matmul.
+    The map grows as Q^2, so for larger Q (dense queries) the three ops run
+    in turn.
     """
     Rv, uv = R.value, u.value
     J, K, C = Rv.shape
@@ -249,50 +263,25 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int) -> Tensor:
     Q = positions.size
     if uv.shape[-2:] != (Q, C):
         raise ValueError("kernel/feature shape mismatch")
-    lead = uv.shape[:-2]
+    if not _dense_spectral_map(Q, J):
+        return idft_at(mode_multiply(R, dft_at_positions(u, J, positions, M)), M, positions)
+
+    # P[(m, n), j] = F[j, m] B[j, n]; A holds its conjugate as real columns
     F = _dft_basis(J, positions, M)                           # (J, Q)
     B = _idft_basis(J, M, positions)                          # (J, Q)
-
-    if _dense_spectral_map(Q, J):
-        # P[(m, n), j] = F[j, m] B[j, n]; A holds its conjugate as real columns
-        P = (F[:, :, None] * B[:, None, :]).reshape(J, Q * Q)
-        A = _re_im_rows(np.conj(P)).T                         # (Q*Q, 2J)
-        T = A @ _re_im_rows(Rv.reshape(J, K * C))             # (Q*Q, K*C)
-        T = T.reshape(Q, Q, K, C).transpose(0, 3, 1, 2).reshape(Q * C, Q * K)
-        rows = uv.reshape(-1, Q * C)
-        out = (rows @ T).reshape(*lead, Q, K)
-
-        def bw(g):
-            g2 = g.reshape(-1, Q * K)
-            gu = (g2 @ T.T).reshape(uv.shape)
-            gT = (rows.T @ g2).reshape(Q, C, Q, K).transpose(0, 2, 3, 1)
-            gR = (A.T @ gT.reshape(Q * Q, K * C)).reshape(J, 2, K, C)
-            return gR[:, 0] + 1j * gR[:, 1], gu
-
-        return Tensor(out, (R, u), bw)
-
-    # W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]] maps the real pair
-    # (Re u_hat, Im u_hat) of mode j to (Re v_hat, Im v_hat)
-    Rt = Rv.transpose(0, 2, 1)                                # (J, C, K)
-    W = np.block([[Rt.real, Rt.imag], [-Rt.imag, Rt.real]])   # (J, 2C, 2K)
-    Fs = _re_im_rows(F)                                       # (2J, Q)
-    Bs = _re_im_rows(np.conj(B))                              # (2J, Q)
-    x = uv.reshape(-1, Q, C)
-    N = x.shape[0]
-    u_hat = (Fs @ x).reshape(N, J, 2 * C)                     # per mode: Re | Im
-    v_hat = np.empty((N, J, 2 * K))
-    np.matmul(u_hat.transpose(1, 0, 2), W, out=v_hat.transpose(1, 0, 2))
-    out = (Bs.T @ v_hat.reshape(N, 2 * J, K)).reshape(*lead, Q, K)
+    P = (F[:, :, None] * B[:, None, :]).reshape(J, Q * Q)
+    A = _re_im_rows(np.conj(P)).T                             # (Q*Q, 2J)
+    T = A @ _re_im_rows(Rv.reshape(J, K * C))                 # (Q*Q, K*C)
+    T = T.reshape(Q, Q, K, C).transpose(0, 3, 1, 2).reshape(Q * C, Q * K)
+    rows = uv.reshape(-1, Q * C)
+    out = (rows @ T).reshape(*uv.shape[:-2], Q, K)
 
     def bw(g):
-        gv = (Bs @ g.reshape(N, Q, K)).reshape(N, J, 2 * K).transpose(1, 0, 2)
-        gu_hat = np.empty((N, J, 2 * C))
-        np.matmul(gv, W.transpose(0, 2, 1), out=gu_hat.transpose(1, 0, 2))
-        gW = u_hat.transpose(1, 2, 0) @ gv                    # (J, 2C, 2K)
-        gRe = gW[:, :C, :K] + gW[:, C:, K:]
-        gIm = gW[:, :C, K:] - gW[:, C:, :K]
-        gu = (Fs.T @ gu_hat.reshape(N, 2 * J, C)).reshape(uv.shape)
-        return (gRe + 1j * gIm).transpose(0, 2, 1), gu
+        g2 = g.reshape(-1, Q * K)
+        gu = (g2 @ T.T).reshape(uv.shape)
+        gT = (rows.T @ g2).reshape(Q, C, Q, K).transpose(0, 2, 3, 1)
+        gR = (A.T @ gT.reshape(Q * Q, K * C)).reshape(J, 2, K, C)
+        return gR[:, 0] + 1j * gR[:, 1], gu
 
     return Tensor(out, (R, u), bw)
 
@@ -325,15 +314,6 @@ def weighted_l1(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor
         return (g * np.sign(diff) * w[:, None] / norm,)
 
     return Tensor(np.asarray(out), (pred,), bw)
-
-
-def sum_squares(u: Tensor) -> Tensor:
-    out = np.sum(np.abs(u.value) ** 2)
-
-    def bw(g):
-        return (2.0 * g * np.conj(u.value) if np.iscomplexobj(u.value) else 2.0 * g * u.value,)
-
-    return Tensor(np.asarray(out), (u,), bw)
 
 
 def grad_check(f, params, step: float = 1e-5, guard: float = 1e-3) -> float:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nnops
 from .nnops import Tensor
-from .trajectories import TimeGrid
+from .trajectories import TimeGrid, atomic_open
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,6 @@ class DsnoConfig:
             raise ValueError(f"J={self.J} exceeds M//2+1={self.M // 2 + 1}")
         if not 0 <= self.slope < 1:
             raise ValueError(f"slope={self.slope} must satisfy 0 <= slope < 1")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.d, "C": self.C, "L": self.L, "J": self.J,
-             "M": self.M, "E": self.E, "slope": self.slope},
-            sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DsnoConfig":
-        return cls(**obj)
 
 
 @dataclass
@@ -114,21 +103,6 @@ def param_count(config: DsnoConfig) -> int:
     """Closed-form count of real degrees of freedom (complex = 2 reals)."""
     d, C, L, J, E = config.d, config.C, config.L, config.J, config.E
     return d * C + C + L * (E * C + C + 2 * (C * C + C) + 2 * J * C * C) + C * d + d
-
-
-def count_parameters(params: DsnoParams) -> int:
-    """Enumerating walker over the actual tensors."""
-    total = 0
-    for _, t in params.named_tensors():
-        n = int(np.prod(t.value.shape, dtype=int)) if t.value.shape else 1
-        total += 2 * n if np.iscomplexobj(t.value) else n
-    return total
-
-
-def spectral_fraction(config: DsnoConfig) -> float:
-    """Share of parameters living in the temporal spectral kernels."""
-    spectral = config.L * 2 * config.J * config.C * config.C
-    return spectral / param_count(config)
 
 
 def temporal_conv(kernel: Tensor, u: Tensor, M: int, positions=None,
@@ -202,13 +176,21 @@ def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times) -> np.ndarray
     """Evaluate the trained operator at arbitrary times within the grid span.
 
     Querying exactly the training grid reproduces `forward` bit-for-bit
-    (identical positions, identical code path).
+    (identical positions, identical per-row arithmetic). Rows run in chunks
+    of 4096 // Q, so each (rows, Q, C) temporary holds at most 4096 * C
+    values (2 MB at C = 64): the chunks reuse one small working set, where
+    one pass over all rows grows the heap by its whole working set and
+    page-faults it in again on every call.
     """
     q = np.asarray(query_times, dtype=float)
     positions = query_positions(grid, q)
+    x = np.asarray(x_T, dtype=float)
+    rows = max(1, 4096 // q.size)
     with nnops.no_record():
-        y, squeeze = _forward_graph(params, x_T, q, positions)
-    return y.value[0] if squeeze else y.value
+        if x.ndim == 1:
+            return _forward_graph(params, x, q, positions)[0].value[0]
+        return np.concatenate([_forward_graph(params, x[i:i + rows], q, positions)[0].value
+                               for i in range(0, max(len(x), 1), rows)])
 
 
 _CKPT_MAGIC = b"FOP1"
@@ -225,22 +207,14 @@ def _checksum(payload) -> bytes:
 def _write_container(path, header: dict, arrays: list[np.ndarray]) -> None:
     """Magic, u64 header length, canonical JSON header, every array as f64
     little-endian (complex interleaved), then the payload's checksum: the
-    first 8 bytes of its sha256. Written to `path.tmp` and renamed over
-    `path`, so a failed write leaves any previous file intact."""
+    first 8 bytes of its sha256. Written through `atomic_open`."""
     hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     payload = b"".join(np.ascontiguousarray(a, dtype=_wire_dtype(a)).tobytes()
                        for a in arrays)
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(_CKPT_MAGIC + len(hbytes).to_bytes(8, "little") + hbytes)
-            f.write(payload)
-            f.write(_checksum(payload))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as f:
+        f.write(_CKPT_MAGIC + len(hbytes).to_bytes(8, "little") + hbytes)
+        f.write(payload)
+        f.write(_checksum(payload))
 
 
 def _read_container(path, groups: int) -> tuple[dict, DsnoParams, list[list[np.ndarray]]]:
@@ -257,7 +231,7 @@ def _read_container(path, groups: int) -> tuple[dict, DsnoParams, list[list[np.n
         raise ValueError("checkpoint truncated inside its header")
     try:
         header = json.loads(bytes(raw[12:hend]))
-        params = init_params(DsnoConfig.from_dict(header["config"]), seed=0)
+        params = init_params(DsnoConfig(**header["config"]), seed=0)
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"bad checkpoint header: {e}") from e
     refs = [t.value for t in params.tensors()]
@@ -282,7 +256,7 @@ def _read_container(path, groups: int) -> tuple[dict, DsnoParams, list[list[np.n
 def save_checkpoint(path, params: DsnoParams, extra: dict | None = None) -> None:
     """Header = the model config plus any extra scalars, then every
     parameter tensor in declaration order."""
-    header = {"config": json.loads(params.config.to_json())}
+    header = {"config": asdict(params.config)}
     if extra:
         header["extra"] = extra
     _write_container(path, header, [t.value for t in params.tensors()])

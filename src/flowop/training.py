@@ -1,9 +1,8 @@
 """Weighted empirical-risk training, Adam, metrics, and solver diagnostics."""
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -124,8 +123,8 @@ def save_train_checkpoint(path, params: DsnoParams, state: OptimizerState,
                           tc: TrainConfig) -> None:
     """The model checkpoint container holding params, then Adam m, then v;
     the header's extra holds the step and the train config."""
-    header = {"config": json.loads(params.config.to_json()),
-              "extra": {"step": state.step, "train": dict(vars(tc))}}
+    header = {"config": asdict(params.config),
+              "extra": {"step": state.step, "train": asdict(tc)}}
     operator._write_container(
         path, header, [t.value for t in params.tensors()] + state.m + state.v)
 

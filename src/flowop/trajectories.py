@@ -8,6 +8,8 @@ self-describing little-endian binary file.
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -140,6 +142,22 @@ def solve_trajectory(gm: GaussianMixture, sched: NoiseSchedule, x_T,
     return Trajectory(x_T=np.array(x_T, dtype=float), values=values, grid=grid)
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Binary file to write `path` through: it is written as `path.tmp` and
+    renamed over `path` on success, so a failed write leaves any previous
+    file intact and no temporary behind."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 _HEADER_FMT = "<4sIIIQdddd"  # magic, version, d, M, N, beta_min, beta_max, t_min, T
 
 
@@ -161,7 +179,7 @@ class TrajectoryDataset:
     def save(self, path) -> None:
         N, d = self.x_T.shape
         M = self.grid.M
-        with open(path, "wb") as f:
+        with atomic_open(path) as f:
             f.write(struct.pack(_HEADER_FMT, MAGIC, FORMAT_VERSION, d, M, N,
                                 self.sched.beta_min, self.sched.beta_max,
                                 self.sched.t_min, self.sched.t_max))

@@ -6,8 +6,10 @@ deletion here would otherwise surface only when the benchmark runs.
 """
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -32,3 +34,26 @@ RUN_CALLS = [("training", "weighted_loss"), ("training", "_batch_indices"),
     + [("nnops", op) for op in SPANS.NNOPS] + RUN_CALLS)
 def test_benchmark_name_exists(module, name):
     assert hasattr(importlib.import_module(f"flowop.{module}"), name)
+
+
+def test_dense_query_runs_the_traced_spectral_ops(monkeypatch):
+    # spans.py measures the factored spectral path through these three
+    # names, so a query at Q = 2M (factored, past the dense-map crossover)
+    # must call each of them once per block
+    from flowop import nnops
+    from flowop.operator import DsnoConfig, init_params, query_at
+    from flowop.trajectories import make_time_grid
+    names = ("dft_at_positions", "mode_multiply", "idft_at")
+    assert set(names) <= set(SPANS.NNOPS)
+    calls = Counter()
+    for name in names:
+        def counted(*args, name=name, fn=getattr(nnops, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(nnops, name, counted)
+    cfg = DsnoConfig(d=2, C=8, L=2, J=3, M=4, E=8)
+    grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)
+    q = np.linspace(grid.times[0], grid.times[-1], 2 * cfg.M)
+    assert not nnops._dense_spectral_map(q.size, cfg.J)
+    query_at(init_params(cfg, seed=0), np.zeros((3, 2)), grid, q)
+    assert calls == dict.fromkeys(names, cfg.L)

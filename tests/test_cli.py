@@ -171,6 +171,17 @@ def test_cli_bad_steps_override_exit_code(tmp_path, capsys):
         assert "config error: training: " in capsys.readouterr().err
 
 
+def test_cli_flags_only_where_used(tmp_path):
+    # --steps belongs to train alone, and gen-data draws no seeded samples,
+    # so it takes no --seed; an unknown flag exits 2 before any work
+    cfg_path = write_config(tmp_path)
+    for argv in (["gen-data", "--steps", "7"], ["gen-data", "--seed", "5"],
+                 ["sample", "--steps", "7"], ["spectrum", "--steps", "7"]):
+        assert run([*argv, "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "data.bin").exists()
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_overrides_leave_defaults_alone(tmp_path):
     # no training section: the override must not write into _DEFAULTS
     path = tmp_path / "c.json"

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from flowop.mixture import (GaussianMixture, epsilon_hat, log_density, marginal_params,
+from flowop.mixture import (GaussianMixture, epsilon_hat, marginal_params,
                             responsibilities, sample_data, score)
+from flowop.schedule import NoiseSchedule
+
+
+def log_density(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
+    """Exact log of the perturbed mixture density at (x, t)."""
+    x = np.asarray(x, dtype=float)
+    mp = marginal_params(gm, sched, t)
+    diff = x[..., None, :] - mp.means_t
+    sq = np.sum(diff * diff, axis=-1)
+    d = gm.d
+    log_comp = (np.log(mp.weights)
+                - 0.5 * sq / mp.vars_t
+                - 0.5 * d * np.log(2.0 * np.pi * mp.vars_t))
+    return np.logaddexp.reduce(log_comp, axis=-1)
 
 
 def test_validation():

@@ -1,15 +1,34 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from flowop.nnops import (Tensor, _dense_spectral_map, add, affine_pointwise,
-                          dft_at_positions, dft_truncated, grad_check, idft_at,
-                          leaky_relu, mode_multiply, no_record, param, scale,
-                          spectral_conv, sum_squares, time_embedding,
-                          weighted_l1)
+from flowop.nnops import (Tensor, _dense_spectral_map, _dft_basis, _idft_basis, add,
+                          affine_pointwise, dft_at_positions, grad_check, idft_at,
+                          leaky_relu, mode_multiply, no_record, param, spectral_conv,
+                          time_embedding, weighted_l1)
 
 
 def _rand(rng, *shape):
     return rng.standard_normal(shape)
+
+
+def dft_truncated(u: Tensor, J: int) -> Tensor:
+    """One-sided unnormalized DFT over the temporal axis, modes 0..J-1."""
+    M = u.value.shape[-2]
+    if J > M // 2 + 1:
+        raise ValueError(f"J={J} exceeds M//2+1={M // 2 + 1}")
+    return dft_at_positions(u, J, np.arange(M), M)
+
+
+def sum_squares(u: Tensor) -> Tensor:
+    out = np.sum(np.abs(u.value) ** 2)
+
+    def bw(g):
+        return (2.0 * g * np.conj(u.value) if np.iscomplexobj(u.value) else 2.0 * g * u.value,)
+
+    return Tensor(np.asarray(out), (u,), bw)
 
 
 # -------------------------------------------------------------- forward math
@@ -125,9 +144,22 @@ def _value_and_grads(op, R, u, positions, M, g):
     return out.value, Rt.grad, ut.grad
 
 
+def _spectral_einsum(R, u, positions, M, g):
+    """Output and gradients of sum(g * Re B^T R F u), from the complex bases."""
+    J, K, C = R.shape
+    Q = positions.size
+    F, B = _dft_basis(J, positions, M), _idft_basis(J, M, positions)
+    out = np.real(np.einsum("jn,jkl,jm,...ml->...nk", B, R, F, u))
+    gu = np.real(np.einsum("...nk,jn,jkl,jm->...ml", g, B, R, F))
+    gR = np.conj(np.einsum("bnk,jn,jm,bml->jkl", g.reshape(-1, Q, K), B, F,
+                           u.reshape(-1, Q, C)))
+    return out, gR, gu
+
+
 def test_spectral_conv_matches_reference_chain():
     # both sides of the dense/factored choice, batched and unbatched, at
-    # integer, fractional and dense query positions
+    # integer, fractional and dense query positions; the factored side runs
+    # the chain itself, so there the reference is an einsum of the bases
     rng = np.random.default_rng(10)
     M, J, C, K = 4, 3, 5, 6
     assert [_dense_spectral_map(Q, J) for Q in (M, 2 * M, 64)] == [True, False, False]
@@ -137,7 +169,10 @@ def test_spectral_conv_matches_reference_chain():
             u = _rand(rng, *lead, Q, C)
             R = _rand(rng, J, K, C) + 1j * _rand(rng, J, K, C)
             g = _rand(rng, *lead, Q, K)
-            ref = _value_and_grads(_spectral_chain, R, u, positions, M, g)
+            if Q == M:
+                ref = _value_and_grads(_spectral_chain, R, u, positions, M, g)
+            else:
+                ref = _spectral_einsum(R, u, positions, M, g)
             got = _value_and_grads(spectral_conv, R, u, positions, M, g)
             for a, b in zip(got, ref):
                 assert a.shape == b.shape
@@ -215,11 +250,28 @@ def test_backward_requires_scalar():
 
 def test_add_scale_gradients():
     a, b = param(np.array([1.0, 2.0])), param(np.array([3.0, 4.0]))
-    loss = sum_squares(add(scale(a, 2.0), b))
+    loss = sum_squares(add(add(a, a), b))
     loss.backward()
     v = 2 * a.value + b.value
     assert np.allclose(a.grad, 4 * v)
     assert np.allclose(b.grad, 2 * v)
+
+
+def test_backward_leaves_no_reference_cycle():
+    # dropping the loss frees its graph by reference counting alone; a cycle
+    # would keep every value and gradient until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        a = param(np.array([1.0, 2.0]))
+        h = add(a, a)
+        value = weakref.ref(h.value)
+        loss = sum_squares(h)
+        loss.backward()
+        del h, loss
+        assert value() is None
+    finally:
+        gc.enable()
 
 
 def test_broadcast_add_gradient():

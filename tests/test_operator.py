@@ -1,11 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from flowop.nnops import grad_check, idft_at, param, spectral_conv
-from flowop.operator import (DsnoConfig, count_parameters, forward, forward_loss,
-                             init_params, load_checkpoint, param_count, query_at,
-                             query_positions, save_checkpoint, spectral_fraction,
-                             temporal_conv)
+from flowop.operator import (DsnoConfig, DsnoParams, forward, forward_loss, init_params,
+                             load_checkpoint, param_count, query_at, query_positions,
+                             save_checkpoint, temporal_conv)
 from flowop.trajectories import make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, load_train_checkpoint,
                              save_train_checkpoint)
@@ -15,6 +16,21 @@ def small_config(**kw):
     base = dict(d=2, C=8, L=2, J=3, M=4, E=8)
     base.update(kw)
     return DsnoConfig(**base)
+
+
+def count_parameters(params: DsnoParams) -> int:
+    """Enumerating walker over the actual tensors."""
+    total = 0
+    for _, t in params.named_tensors():
+        n = int(np.prod(t.value.shape, dtype=int)) if t.value.shape else 1
+        total += 2 * n if np.iscomplexobj(t.value) else n
+    return total
+
+
+def spectral_fraction(config: DsnoConfig) -> float:
+    """Share of parameters living in the temporal spectral kernels."""
+    spectral = config.L * 2 * config.J * config.C * config.C
+    return spectral / param_count(config)
 
 
 def circ_conv(u, r):
@@ -174,8 +190,10 @@ def test_query_positions_out_of_range(grid4):
 def test_query_at_grid_reproduces_forward(grid4):
     cfg = small_config()
     p = init_params(cfg, seed=7)
-    x = np.random.default_rng(8).standard_normal((3, 2))
-    assert np.array_equal(query_at(p, x, grid4, grid4.times), forward(p, x, grid4))
+    # 1500 rows span two of query_at's row chunks at Q = 4
+    for n in (3, 1500):
+        x = np.random.default_rng(8).standard_normal((n, 2))
+        assert np.array_equal(query_at(p, x, grid4, grid4.times), forward(p, x, grid4))
 
 
 def test_query_at_dense_times_finite(grid4):
@@ -319,7 +337,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, fail
     def fail(*args):
         raise OSError("injected")
 
-    monkeypatch.setattr(op if failing == "_checksum" else op.os, failing, fail)
+    monkeypatch.setattr(op if failing == "_checksum" else os, failing, fail)
     with pytest.raises(OSError, match="injected"):
         save_checkpoint(path, init_params(small_config(), seed=2))
     assert path.read_bytes() == before

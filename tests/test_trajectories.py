@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -232,6 +234,27 @@ def test_dataset_truncation_detected(tmp_path, sched, bimodal, grid4):
         path.write_bytes(full[:cut])
         with pytest.raises(ValueError, match="dataset truncated"):
             TrajectoryDataset.load(path)
+
+
+@pytest.mark.parametrize("failing", ["concatenate", "replace"])
+def test_failed_dataset_write_keeps_previous_file(tmp_path, monkeypatch, sched, bimodal,
+                                                  grid4, failing):
+    # a failure mid-write (the records come after the header and the grid
+    # times) or at the rename leaves the previous file byte-identical and
+    # no temporary behind
+    path = tmp_path / "data.bin"
+    generate_dataset(bimodal, sched, grid4, N=4, base_seed=0, substeps=4, path=path)
+    before = path.read_bytes()
+    ds = generate_dataset(bimodal, sched, grid4, N=8, base_seed=1, substeps=4)
+
+    def fail(*args, **kwargs):
+        raise OSError("injected")
+
+    monkeypatch.setattr(np if failing == "concatenate" else os, failing, fail)
+    with pytest.raises(OSError, match="injected"):
+        ds.save(path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["data.bin"]
 
 
 def test_dataset_endpoints_match_data_statistics(sched, bimodal, grid4):
