@@ -131,7 +131,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def _write_summary(cfg: ExperimentConfig, command: str, results: dict):
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "summary.tsv")
+    path = os.path.join(cfg.out_dir, f"summary_{command}.tsv")
     with open(path, "w") as f:
         f.write("key\tvalue\n")
         f.write(f"command\t{command}\n")
@@ -249,11 +249,11 @@ def run(argv) -> int:
     steps, seed = getattr(args, "steps", None), getattr(args, "seed", None)
     try:
         cfg = parse_config(args.config)
-        if steps is not None:
-            cfg.raw["training"]["total_steps"] = steps
-        if seed is not None:
-            cfg.raw["training"]["seed"] = seed
-        if steps is not None or seed is not None:
+        if args.command == "train":
+            if steps is not None:
+                cfg.raw["training"]["total_steps"] = steps
+            if seed is not None:
+                cfg.raw["training"]["seed"] = seed
             cfg.training = _training_config(cfg.raw["training"])
         if args.out is not None:
             cfg.raw["out_dir"] = args.out
@@ -266,15 +266,10 @@ def run(argv) -> int:
             results = cmd_gen_data(cfg)
         elif args.command == "train":
             results = cmd_train(cfg)
-        elif args.command == "sample":
-            results = cmd_sample(cfg, args.n, cfg.training.seed)
-        elif args.command == "eval":
-            results = cmd_eval(cfg, args.n, cfg.training.seed)
-        elif args.command == "spectrum":
-            results = cmd_spectrum(cfg, args.n, cfg.training.seed)
-        else:  # pragma: no cover
-            print(f"unknown command {args.command}", file=sys.stderr)
-            return 2
+        else:   # --seed seeds this command's draws; it is not the training seed
+            seed = cfg.training.seed if seed is None else seed
+            cmd = {"sample": cmd_sample, "eval": cmd_eval, "spectrum": cmd_spectrum}
+            results = {**cmd[args.command](cfg, args.n, seed), "seed": seed}
         _write_summary(cfg, args.command, results)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -7,7 +7,7 @@ pre-trained model being distilled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,38 +70,32 @@ def marginal_params(gm: GaussianMixture, sched: NoiseSchedule, t: float) -> Marg
     )
 
 
-def _log_responsibilities(gm, sched, x, t):
-    """Log of per-component posterior weights at (x, t); log-sum-exp stabilized.
-
-    x may be (d,) or (n, d); returns (log_r, mp) with log_r matching the
-    leading shape plus a trailing K axis.
-    """
-    x = np.asarray(x, dtype=float)
-    mp = marginal_params(gm, sched, t)
-    diff = x[..., None, :] - mp.means_t          # (..., K, d)
-    sq = np.sum(diff * diff, axis=-1)            # (..., K)
-    d = gm.d
-    log_comp = (np.log(mp.weights)
-                - 0.5 * sq / mp.vars_t
-                - 0.5 * d * np.log(2.0 * np.pi * mp.vars_t))
-    log_norm = np.logaddexp.reduce(log_comp, axis=-1, keepdims=True)
-    return log_comp - log_norm, mp
-
-
-def responsibilities(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:
-    log_r, _ = _log_responsibilities(gm, sched, x, t)
-    return np.exp(log_r)
-
-
 def score(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:
-    """Gradient of log p_t at x: responsibility-weighted component scores."""
+    """Gradient of log p_t at x (shape (..., d)): responsibility-weighted
+    component scores, with log-sum-exp stabilized responsibilities.
+
+    Runs feature-major: x is copied once to (d, ...), so the sums over
+    the K components and the d coordinates are whole-row ops rather than
+    numpy inner loops of length K or d. They add in sequential order, as
+    numpy does over a trailing axis shorter than 8, so for K, d < 8 the
+    result is bit-identical to the (..., K, d) broadcast form.
+    """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input to score")
-    log_r, mp = _log_responsibilities(gm, sched, x, t)
-    r = np.exp(log_r)                                      # (..., K)
-    comp_score = -(x[..., None, :] - mp.means_t) / mp.vars_t[:, None]
-    return np.sum(r[..., None] * comp_score, axis=-2)
+    mp = marginal_params(gm, sched, t)
+    tail = (1,) * (x.ndim - 1)                   # broadcast over the batch axes
+    var = mp.vars_t.reshape(mp.vars_t.shape + tail)            # (K, 1...)
+    diff = (np.ascontiguousarray(np.moveaxis(x, -1, 0))
+            - mp.means_t.reshape(mp.means_t.shape + tail))     # (K, d, ...)
+    sq = np.sum(diff * diff, axis=1)                           # (K, ...)
+    log_comp = (np.log(mp.weights).reshape(var.shape)
+                - 0.5 * sq / var
+                - 0.5 * gm.d * np.log(2.0 * np.pi * var))
+    r = np.exp(log_comp - np.logaddexp.reduce(log_comp, axis=0))
+    np.negative(diff, out=diff)
+    diff /= var[:, None]                         # component scores
+    return np.ascontiguousarray(np.moveaxis(np.sum(r[:, None] * diff, axis=0), 0, -1))
 
 
 def epsilon_hat(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:

@@ -57,3 +57,23 @@ def test_dense_query_runs_the_traced_spectral_ops(monkeypatch):
     assert not nnops._dense_spectral_map(q.size, cfg.J)
     query_at(init_params(cfg, seed=0), np.zeros((3, 2)), grid, q)
     assert calls == dict.fromkeys(names, cfg.L)
+
+
+def test_teacher_calls_score_384_times(monkeypatch):
+    # mixture.score_calls and claim.teacher_score_calls count calls of the
+    # module-global score: Heun x64 on the default M=4 quadratic grid makes
+    # 2 calls per step over 3 non-empty segments (the first grid time is
+    # t_max), so a private score fork would read fewer here
+    from flowop import trajectories
+    from flowop.cli import ExperimentConfig
+    cfg = ExperimentConfig({})
+    calls = [0]
+
+    def counted(*args, fn=trajectories.score):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(trajectories, "score", counted)
+    trajectories.solve_trajectory(cfg.mixture, cfg.sched, np.zeros((4, cfg.mixture.d)),
+                                  cfg.grid, solver="heun", substeps=64)
+    assert calls[0] == 3 * 64 * 2 == 384

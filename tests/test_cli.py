@@ -111,7 +111,7 @@ def test_cli_round_trip_pipeline(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert (run_dir / "model.bin").exists()
     assert (run_dir / "loss.tsv").exists()
-    assert (run_dir / "summary.tsv").exists()
+    assert (run_dir / "summary_train.tsv").exists()
 
     assert run(["sample", "--config", str(cfg_path), "--n", "32"]) == 0
     lines = (run_dir / "samples.tsv").read_text().strip().split("\n")
@@ -202,7 +202,7 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
 def test_summary_contains_flattened_config(tmp_path):
     cfg_path = write_config(tmp_path)
     assert run(["gen-data", "--config", str(cfg_path)]) == 0
-    summary = (tmp_path / "run" / "summary.tsv").read_text()
+    summary = (tmp_path / "run" / "summary_gen-data.tsv").read_text()
     assert "schedule.beta_max\t20.0" in summary
     assert "command\tgen-data" in summary
     assert "dataset_N\t48" in summary
@@ -218,3 +218,38 @@ def test_seed_override_changes_training(tmp_path):
     a = (tmp_path / "s1" / "loss.tsv").read_text()
     b = (tmp_path / "s2" / "loss.tsv").read_text()
     assert a != b
+
+
+def _summary(path):
+    rows = path.read_text().strip().split("\n")[1:]
+    return dict(row.split("\t", 1) for row in rows)
+
+
+def test_seed_override_is_not_the_training_seed(tmp_path):
+    # sample --seed draws the noise; the model was still trained with seed 0
+    cfg_path = write_config(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    assert run(["train", "--config", str(cfg_path)]) == 0
+    assert run(["sample", "--config", str(cfg_path), "--n", "8"]) == 0
+    default = (run_dir / "samples.tsv").read_text()
+    assert _summary(run_dir / "summary_sample.tsv")["seed"] == "0"
+    assert run(["sample", "--config", str(cfg_path), "--n", "8", "--seed", "5"]) == 0
+    summary = _summary(run_dir / "summary_sample.tsv")
+    assert summary["training.seed"] == "0"
+    assert summary["seed"] == "5"
+    assert (run_dir / "samples.tsv").read_text() != default
+
+
+def test_later_commands_keep_the_train_summary(tmp_path):
+    cfg_path = write_config(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    assert run(["train", "--config", str(cfg_path)]) == 0
+    final_loss = _summary(run_dir / "summary_train.tsv")["final_loss"]
+    assert run(["sample", "--config", str(cfg_path), "--n", "8"]) == 0
+    train_summary = _summary(run_dir / "summary_train.tsv")
+    assert train_summary["command"] == "train"
+    assert train_summary["final_loss"] == final_loss
+    assert _summary(run_dir / "summary_sample.tsv")["command"] == "sample"
+    assert not (run_dir / "summary.tsv").exists()

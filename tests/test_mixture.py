@@ -1,22 +1,55 @@
 import numpy as np
 import pytest
 
+from flowop import mixture, trajectories
 from flowop.mixture import (GaussianMixture, epsilon_hat, marginal_params,
-                            responsibilities, sample_data, score)
+                            sample_data, score)
 from flowop.schedule import NoiseSchedule
+from flowop.trajectories import generate_dataset, solve_trajectory
+
+# Oracles in the trailing-axis (..., K, d) layout that score used before it
+# ran feature-major. Every elementwise op is the same and, for K, d < 8,
+# numpy adds the length-K and length-d axes in sequential order in both
+# layouts, so score must match score_oracle bit for bit.
+
+
+def _log_components(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
+    """Per-component log of weight times density at (x, t), shape (..., K)."""
+    x = np.asarray(x, dtype=float)
+    mp = marginal_params(gm, sched, t)
+    diff = x[..., None, :] - mp.means_t          # (..., K, d)
+    sq = np.sum(diff * diff, axis=-1)            # (..., K)
+    return (np.log(mp.weights)
+            - 0.5 * sq / mp.vars_t
+            - 0.5 * gm.d * np.log(2.0 * np.pi * mp.vars_t))
 
 
 def log_density(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
     """Exact log of the perturbed mixture density at (x, t)."""
+    return np.logaddexp.reduce(_log_components(gm, sched, x, t), axis=-1)
+
+
+def responsibilities(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
+    """Per-component posterior weights at (x, t), shape (..., K)."""
+    log_comp = _log_components(gm, sched, x, t)
+    return np.exp(log_comp - np.logaddexp.reduce(log_comp, axis=-1, keepdims=True))
+
+
+def score_oracle(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite input to score")
     mp = marginal_params(gm, sched, t)
-    diff = x[..., None, :] - mp.means_t
-    sq = np.sum(diff * diff, axis=-1)
-    d = gm.d
-    log_comp = (np.log(mp.weights)
-                - 0.5 * sq / mp.vars_t
-                - 0.5 * d * np.log(2.0 * np.pi * mp.vars_t))
-    return np.logaddexp.reduce(log_comp, axis=-1)
+    r = responsibilities(gm, sched, x, t)                  # (..., K)
+    comp_score = -(x[..., None, :] - mp.means_t) / mp.vars_t[:, None]
+    return np.sum(r[..., None] * comp_score, axis=-2)
+
+
+def _random_mixture(K: int, d: int, seed: int) -> GaussianMixture:
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 1.0, K)
+    return GaussianMixture(weights=w / w.sum(), means=rng.uniform(-3, 3, (K, d)),
+                           variances=rng.uniform(0.01, 1.0, K))
 
 
 def test_validation():
@@ -104,6 +137,57 @@ def test_responsibilities_sum_to_one(sched, bimodal):
         t = rng.uniform(sched.t_min, 1.0)
         r = responsibilities(bimodal, sched, x, t)
         assert abs(r.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_score_bit_identical_to_oracle(sched, K, d):
+    gm = _random_mixture(K, d, seed=10 * K + d)
+    rng = np.random.default_rng(K * d)
+    for shape in [(d,), (50, d), (2, 3, d)]:
+        near = rng.uniform(-4, 4, shape)
+        far = rng.choice([-200.0, 200.0], shape)    # densities underflow here
+        for x in (near, far):
+            for t in (sched.t_min, 0.05, 0.5, sched.t_max):
+                got = score(gm, sched, x, t)
+                assert got.shape == x.shape and got.flags.c_contiguous
+                assert np.array_equal(got, score_oracle(gm, sched, x, t))
+
+
+def _with_oracle_score(monkeypatch):
+    """Route the solvers' score calls (pf_rhs by trajectories.score,
+    epsilon_hat by mixture.score) to score_oracle; returns the call count."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return score_oracle(*args)
+
+    monkeypatch.setattr(trajectories, "score", counted)
+    monkeypatch.setattr(mixture, "score", counted)
+    return calls
+
+
+def test_solvers_bit_identical_with_oracle_score(monkeypatch, sched, bimodal, grid4):
+    x_T = np.random.default_rng(5).standard_normal((64, 2)) * 1.5
+    solvers = ("euler", "heun", "exponential")
+    got = {s: solve_trajectory(bimodal, sched, x_T, grid4, s, substeps=8).values
+           for s in solvers}
+    calls = _with_oracle_score(monkeypatch)
+    for s in solvers:
+        before = calls[0]
+        want = solve_trajectory(bimodal, sched, x_T, grid4, s, substeps=8).values
+        assert calls[0] > before
+        assert np.array_equal(got[s], want)
+
+
+def test_dataset_bytes_bit_identical_with_oracle_score(monkeypatch, tmp_path, sched,
+                                                       bimodal, grid4):
+    generate_dataset(bimodal, sched, grid4, 40, base_seed=3, path=tmp_path / "new.bin")
+    calls = _with_oracle_score(monkeypatch)
+    generate_dataset(bimodal, sched, grid4, 40, base_seed=3, path=tmp_path / "oracle.bin")
+    assert calls[0] > 0
+    assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
 
 
 def test_epsilon_hat_definition(sched, standard_normal_2d, bimodal):
