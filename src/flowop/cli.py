@@ -3,7 +3,9 @@ evaluation, and spectrum analysis driven by one strict JSON config."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import itertools
 import json
 import os
 import sys
@@ -14,7 +16,8 @@ from .mixture import GaussianMixture, sample_data
 from .operator import DsnoConfig, forward, load_checkpoint, save_checkpoint
 from .schedule import NoiseSchedule
 from .spectrum import trajectory_spectrum_report, write_report
-from .trajectories import TimeGrid, TrajectoryDataset, generate_dataset, make_time_grid
+from .trajectories import (TrajectoryDataset, atomic_open, check_solver, generate_dataset,
+                           make_time_grid)
 from .training import (TrainConfig, eval_trajectory_rmse, sliced_wasserstein,
                        train)
 
@@ -69,43 +72,44 @@ def _merge_strict(defaults, given, path=""):
     return out
 
 
-def _training_config(section: dict) -> TrainConfig:
+@contextlib.contextmanager
+def _section(name: str):
+    """Reports a section's rejected values as a ConfigError named after it."""
     try:
-        return TrainConfig(**section)
+        yield
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"training: {e}") from e
+        raise ConfigError(f"{name}: {e}") from e
 
 
 class ExperimentConfig:
-    """Materialized, validated experiment settings."""
+    """Materialized, validated experiment settings. `overrides` maps dotted
+    keys (``"training.total_steps"``, ``"out_dir"``) to values that replace
+    the file's before anything is validated."""
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, overrides: dict | None = None):
         cfg = _merge_strict(_DEFAULTS, raw)
+        for key, value in (overrides or {}).items():
+            *sections, leaf = key.split(".")
+            node = cfg
+            for name in sections:
+                node = node[name]
+            node[leaf] = value
         self.raw = cfg
-        try:
+        with _section("schedule"):
             self.sched = NoiseSchedule(**cfg["schedule"])
-        except ValueError as e:
-            raise ConfigError(f"schedule: {e}") from e
-        try:
-            self.mixture = GaussianMixture(
-                weights=np.array(cfg["mixture"]["weights"], dtype=float),
-                means=np.array(cfg["mixture"]["means"], dtype=float),
-                variances=np.array(cfg["mixture"]["variances"], dtype=float))
-        except ValueError as e:
-            raise ConfigError(f"mixture: {e}") from e
-        g = cfg["grid"]
-        try:
-            self.grid = make_time_grid(g["M"], g["scheme"], g["s"], g["t_floor"])
-        except ValueError as e:
-            raise ConfigError(f"grid: {e}") from e
-        m = cfg["model"]
-        try:
-            self.model = DsnoConfig(d=self.mixture.d, C=m["C"], L=m["L"], J=m["J"],
-                                    M=g["M"], E=m["E"], slope=m["slope"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"model: {e}") from e
-        self.training = _training_config(cfg["training"])
+        with _section("mixture"):
+            self.mixture = GaussianMixture(**cfg["mixture"])
+        with _section("grid"):
+            self.grid = make_time_grid(**cfg["grid"])
+        with _section("model"):
+            self.model = DsnoConfig(d=self.mixture.d, M=self.grid.M, **cfg["model"])
+        with _section("training"):
+            self.training = TrainConfig(**cfg["training"])
         self.dataset = cfg["dataset"]
+        with _section("dataset"):
+            check_solver(self.dataset["solver"], self.dataset["substeps"])
+            if self.dataset["N"] < 1:
+                raise ValueError("N must be >= 1")
         self.out_dir = cfg["out_dir"]
 
     def flat_items(self):
@@ -118,7 +122,7 @@ class ExperimentConfig:
         yield from walk("", self.raw)
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -126,19 +130,15 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed config {path}: {e}") from e
-    return ExperimentConfig(raw)
+    return ExperimentConfig(raw, overrides)
 
 
-def _write_summary(cfg: ExperimentConfig, command: str, results: dict):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"summary_{command}.tsv")
-    with open(path, "w") as f:
-        f.write("key\tvalue\n")
-        f.write(f"command\t{command}\n")
-        for k, v in cfg.flat_items():
-            f.write(f"{k}\t{v}\n")
-        for k, v in results.items():
-            f.write(f"{k}\t{v}\n")
+def _write_tsv(path: str, header, rows) -> None:
+    """A header and tab-separated rows of str() cells, written through
+    `atomic_open`; rows may be a generator, consumed while writing."""
+    with atomic_open(path) as f:
+        for row in itertools.chain([header], rows):
+            f.write(("\t".join(map(str, row)) + "\n").encode())
 
 
 def _model_path(cfg: ExperimentConfig) -> str:
@@ -159,7 +159,6 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict:
 
 def cmd_train(cfg: ExperimentConfig) -> dict:
     data = TrajectoryDataset.load(cfg.dataset["path"])
-    os.makedirs(cfg.out_dir, exist_ok=True)
     result = train(data, cfg.training, cfg.model, out_dir=cfg.out_dir)
     save_checkpoint(_model_path(cfg), result.params,
                     extra={"steps": cfg.training.total_steps})
@@ -182,11 +181,8 @@ def _sample_endpoints(cfg: ExperimentConfig, n: int, seed: int) -> np.ndarray:
 def cmd_sample(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     samples = _sample_endpoints(cfg, n, seed)
     path = os.path.join(cfg.out_dir, "samples.tsv")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(path, "w") as f:
-        f.write("\t".join(f"x{i}" for i in range(samples.shape[1])) + "\n")
-        for row in samples:
-            f.write("\t".join(f"{v:.8g}" for v in row) + "\n")
+    _write_tsv(path, [f"x{i}" for i in range(samples.shape[1])],
+               ([f"{v:.8g}" for v in row] for row in samples))
     print(f"wrote {n} one-call samples to {path}")
     return {"samples_path": path, "n_samples": n}
 
@@ -199,11 +195,8 @@ def cmd_eval(cfg: ExperimentConfig, n: int, seed: int) -> dict:
                                solver=cfg.dataset["solver"],
                                substeps=cfg.dataset["substeps"])
     per_time, pooled = eval_trajectory_rmse(params, heldout)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "eval.tsv"), "w") as f:
-        f.write("time\trmse\n")
-        for t, r in zip(cfg.grid.times, per_time):
-            f.write(f"{t:.8g}\t{r:.10g}\n")
+    _write_tsv(os.path.join(cfg.out_dir, "eval.tsv"), ("time", "rmse"),
+               ((f"{t:.8g}", f"{r:.10g}") for t, r in zip(cfg.grid.times, per_time)))
     model_samples = _sample_endpoints(cfg, n, seed + 1)
     data_samples = sample_data(cfg.mixture, n, seed + 2)
     sw = sliced_wasserstein(model_samples, data_samples, n_proj=128, seed=seed + 3)
@@ -213,13 +206,18 @@ def cmd_eval(cfg: ExperimentConfig, n: int, seed: int) -> dict:
 
 def cmd_spectrum(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     report = trajectory_spectrum_report(cfg.mixture, cfg.sched, n_traj=n, seed=seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "spectrum.tsv")
     write_report(report, path)
     print(f"band fraction (modes<=5, non-DC) {report.band_fraction_j5_nodc:.6g}")
     return {"spectrum_path": path,
             "band_fraction_j5": report.band_fraction_j5,
             "band_fraction_j5_nodc": report.band_fraction_j5_nodc}
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "train":
             sp.add_argument("--steps", type=int, default=None)
         if name in ("sample", "eval", "spectrum"):
-            sp.add_argument("--n", type=int,
+            sp.add_argument("--n", type=_positive_int,
                             default={"sample": 1000, "eval": 10000, "spectrum": 100}[name])
     return p
 
@@ -246,34 +244,31 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    steps, seed = getattr(args, "steps", None), getattr(args, "seed", None)
+    # --seed replaces the training seed on train only; elsewhere it seeds
+    # that command's own draws
+    flags = {"out": "out_dir", "steps": "training.total_steps"}
+    if args.command == "train":
+        flags["seed"] = "training.seed"
+    overrides = {key: getattr(args, flag) for flag, key in flags.items()
+                 if getattr(args, flag, None) is not None}
     try:
-        cfg = parse_config(args.config)
-        if args.command == "train":
-            if steps is not None:
-                cfg.raw["training"]["total_steps"] = steps
-            if seed is not None:
-                cfg.raw["training"]["seed"] = seed
-            cfg.training = _training_config(cfg.raw["training"])
-        if args.out is not None:
-            cfg.raw["out_dir"] = args.out
-            cfg.out_dir = args.out
+        cfg = parse_config(args.config, overrides)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
         if args.command == "gen-data":
             results = cmd_gen_data(cfg)
         elif args.command == "train":
             results = cmd_train(cfg)
-        else:   # --seed seeds this command's draws; it is not the training seed
-            seed = cfg.training.seed if seed is None else seed
+        else:
+            seed = cfg.training.seed if args.seed is None else args.seed
             cmd = {"sample": cmd_sample, "eval": cmd_eval, "spectrum": cmd_spectrum}
             results = {**cmd[args.command](cfg, args.n, seed), "seed": seed}
-        _write_summary(cfg, args.command, results)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+        _write_tsv(os.path.join(cfg.out_dir, f"summary_{args.command}.tsv"),
+                   ("key", "value"), [("command", args.command),
+                                      *cfg.flat_items(), *results.items()])
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

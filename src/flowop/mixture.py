@@ -26,6 +26,8 @@ class GaussianMixture:
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         if self.weights.ndim != 1 or self.means.ndim != 2 or self.variances.ndim != 1:
             raise ValueError("weights (K,), means (K,d), variances (K,) expected")
+        if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means, self.variances)):
+            raise ValueError("weights, means and variances must be finite")
         K = self.weights.shape[0]
         if self.means.shape[0] != K or self.variances.shape[0] != K:
             raise ValueError("component counts disagree")

@@ -165,6 +165,8 @@ def query_positions(grid: TimeGrid, query_times) -> np.ndarray:
     """Monotone map of query times into the training grid's index coordinate."""
     q = np.asarray(query_times, dtype=float)
     times = grid.times
+    if q.size == 0 or not np.all(np.isfinite(q)):
+        raise ValueError("query times must be a non-empty set of finite times")
     if np.any(q > times[0]) or np.any(q < times[-1]):
         raise ValueError("query time outside the training grid's span")
     asc_t = times[::-1]

@@ -103,7 +103,19 @@ class Trajectory:
     grid: TimeGrid
 
 
+SOLVERS = ("euler", "heun", "exponential")
+
+
+def check_solver(solver: str, substeps: int) -> None:
+    """Raise ValueError unless `solver` is one of SOLVERS and substeps >= 1."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}, expected one of {', '.join(SOLVERS)}")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+
+
 def _advance(gm, sched, x, t_from, t_to, solver, substeps):
+    # solver is one of SOLVERS: solve_trajectory checks it before any step
     if t_to == t_from:
         return x
     ts = np.linspace(t_from, t_to, substeps + 1)
@@ -112,10 +124,8 @@ def _advance(gm, sched, x, t_from, t_to, solver, substeps):
             x = step_euler(lambda y, tt: pf_rhs(gm, sched, y, tt), x, a, b)
         elif solver == "heun":
             x = step_heun(lambda y, tt: pf_rhs(gm, sched, y, tt), x, a, b)
-        elif solver == "exponential":
-            x = step_exponential(gm, sched, x, a, b)
         else:
-            raise ValueError(f"unknown solver {solver!r}")
+            x = step_exponential(gm, sched, x, a, b)
         if not np.all(np.isfinite(x)):
             raise IntegrationDiverged(b)
     return x
@@ -129,8 +139,7 @@ def solve_trajectory(gm: GaussianMixture, sched: NoiseSchedule, x_T,
     time, then between consecutive grid times). Works on a single (d,)
     state or a batch (n, d); the batch is just row-parallel.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    check_solver(solver, substeps)
     x = np.array(x_T, dtype=float)
     rows = []
     t = sched.t_max

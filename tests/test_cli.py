@@ -1,7 +1,12 @@
+import copy
 import json
+import os
+import re
 
+import numpy as np
 import pytest
 
+from flowop import cli
 from flowop.cli import _DEFAULTS, ConfigError, parse_config, run
 from flowop.trajectories import TrajectoryDataset
 
@@ -253,3 +258,92 @@ def test_later_commands_keep_the_train_summary(tmp_path):
     assert train_summary["final_loss"] == final_loss
     assert _summary(run_dir / "summary_sample.tsv")["command"] == "sample"
     assert not (run_dir / "summary.tsv").exists()
+
+
+def _only_config_left(tmp_path):
+    return [f.name for f in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({"mixture": {"variances": {"a": 1}}}, "config error: mixture: "),
+    ({"mixture": {"weights": [None, 0.5]}}, "config error: mixture: .*finite"),
+    ({"mixture": {"means": [[2.0, float("nan")], [-2.0, 0.0]]}},
+     "config error: mixture: .*finite"),
+    ({"mixture": {"variances": [float("inf"), 0.01]}}, "config error: mixture: .*finite"),
+    ({"dataset": {"solver": "rk4"}}, "config error: dataset: unknown solver 'rk4'"),
+    ({"dataset": {"substeps": 0}}, "config error: dataset: substeps"),
+    ({"dataset": {"N": 0}}, "config error: dataset: N"),
+])
+@pytest.mark.parametrize("command", ["gen-data", "eval"])
+def test_cli_bad_section_exits_2_before_any_write(tmp_path, capsys, raw, match, command):
+    # rejected while the config is read: eval would otherwise fail only
+    # after loading a checkpoint, and gen-data only after solving
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "run")}))
+    assert run([command, "--config", str(path)]) == 2
+    assert re.search(match, capsys.readouterr().err)
+    assert _only_config_left(tmp_path)
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "abc"])
+def test_cli_n_must_be_positive(tmp_path, capsys, n):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "run")}))
+    assert run(["sample", "--config", str(path), f"--n={n}"]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert _only_config_left(tmp_path)
+
+
+@pytest.mark.parametrize("failing", ["partway", "replace"])
+def test_failed_cli_write_keeps_previous_files(tmp_path, monkeypatch, failing):
+    # a failure while samples.tsv is half written, or at its rename, leaves
+    # the previous samples and summary byte-identical and no temporary behind
+    cfg_path = write_config(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    assert run(["train", "--config", str(cfg_path)]) == 0
+    assert run(["sample", "--config", str(cfg_path), "--n", "8"]) == 0
+    before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+
+    if failing == "partway":
+        # the third row cannot be formatted, after the header and two rows
+        rows = np.array([[1.0, 2.0], [3.0, 4.0], ["x", 5.0]], dtype=object)
+        monkeypatch.setattr(cli, "_sample_endpoints", lambda *args: rows)
+    else:
+        def fail(*args, **kwargs):
+            raise OSError("injected")
+        monkeypatch.setattr(os, "replace", fail)
+    assert run(["sample", "--config", str(cfg_path), "--n", "8", "--seed", "5"]) == 1
+    assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
+
+
+def test_cli_flags_match_the_same_values_in_the_file(tmp_path):
+    # --steps/--seed/--out are overrides of training.total_steps,
+    # training.seed and out_dir: the run and its summary are the same
+    cfg_path = write_config(tmp_path)
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "alt"
+    assert run(["train", "--config", str(cfg_path), "--steps", "3", "--seed", "4",
+                "--out", str(out)]) == 0
+    by_flags = (out / "summary_train.tsv").read_text()
+    model = (out / "model.bin").read_bytes()
+    in_file = write_config(tmp_path, training={"total_steps": 3, "seed": 4},
+                           out_dir=str(out))
+    assert run(["train", "--config", str(in_file)]) == 0
+    assert (out / "summary_train.tsv").read_text() == by_flags
+    assert (out / "model.bin").read_bytes() == model
+    assert _summary(out / "summary_train.tsv")["training.total_steps"] == "3"
+
+
+def test_cli_out_leaves_defaults_alone(tmp_path):
+    # no out_dir and no training section in the file: the flags must not
+    # write into _DEFAULTS
+    before = copy.deepcopy(_DEFAULTS)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": {"N": 4, "substeps": 2,
+                                            "path": str(tmp_path / "d.bin")}}))
+    assert run(["gen-data", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert run(["train", "--config", str(path), "--steps", "1", "--seed", "2",
+                "--out", str(tmp_path / "b")]) == 2
+    assert _DEFAULTS == before
+    assert parse_config(path).out_dir == "runs/default"

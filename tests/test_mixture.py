@@ -119,6 +119,22 @@ def test_score_matches_log_density_gradient(sched, bimodal):
         assert np.allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("weights", [np.nan, 0.5]),
+    ("means", [[2.0, np.nan], [-2.0, 0.0]]),
+    ("variances", [np.nan, 0.01]),
+    ("variances", [np.inf, 0.01]),
+    ("means", [[np.inf, 0.0], [-2.0, 0.0]]),
+])
+def test_validation_rejects_non_finite(field, value):
+    # NaN passes both the sign and the sum checks, so it needs its own
+    fields = dict(weights=[0.5, 0.5], means=[[2.0, 0.0], [-2.0, 0.0]],
+                  variances=[0.01, 0.01])
+    fields[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixture(**fields)
+
+
 def test_score_rejects_non_finite(sched, bimodal):
     with pytest.raises(ValueError):
         score(bimodal, sched, np.array([np.nan, 0.0]), 0.5)

@@ -187,6 +187,17 @@ def test_query_positions_out_of_range(grid4):
         query_positions(grid4, [grid4.times[-1] / 2])
 
 
+@pytest.mark.parametrize("times", [[], [np.nan], [0.5, np.nan], [np.inf]])
+def test_query_positions_rejects_empty_and_non_finite(grid4, times):
+    # NaN passes the span check, and the spectral transform would spread it
+    # over every output of the row; no times at all divides by zero in query_at
+    with pytest.raises(ValueError, match="non-empty set of finite times"):
+        query_positions(grid4, times)
+    params = init_params(small_config(), seed=0)
+    with pytest.raises(ValueError, match="non-empty set of finite times"):
+        query_at(params, np.zeros((3, 2)), grid4, times)
+
+
 def test_query_at_grid_reproduces_forward(grid4):
     cfg = small_config()
     p = init_params(cfg, seed=7)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,19 @@ def test_write_report(tmp_path, sched, bimodal):
     assert lines[0] == "mode\tfreq\tmean\tmin\tmax"
     assert len(lines) == 1 + rep.modes.size + 1
     assert lines[-1].startswith("# band_fraction")
+
+
+def test_failed_report_write_keeps_previous_file(tmp_path, monkeypatch, sched, bimodal):
+    path = tmp_path / "spectrum.tsv"
+    write_report(trajectory_spectrum_report(bimodal, sched, n_traj=2, N=64, seed=1), path)
+    before = path.read_bytes()
+    rep = trajectory_spectrum_report(bimodal, sched, n_traj=2, N=64, seed=2)
+
+    def fail(*args, **kwargs):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="injected"):
+        write_report(rep, path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["spectrum.tsv"]

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from flowop.mixture import GaussianMixture, sample_data
+from flowop import trajectories as traj_mod
 from flowop.schedule import coefficients_at
 from flowop.trajectories import (IntegrationDiverged, TrajectoryDataset,
                                  generate_dataset, make_time_grid, pf_rhs,
@@ -177,6 +178,23 @@ def test_recorded_rows_match_grid_length(sched, bimodal):
     traj = solve_trajectory(bimodal, sched, np.zeros(2), g, substeps=4)
     assert traj.values.shape == (6, 2)
     assert np.all(np.isfinite(traj.values))
+
+
+@pytest.mark.parametrize("solver, substeps, match", [
+    ("rk4", 4, "unknown solver 'rk4'"), ("Heun", 4, "unknown solver"),
+    ("heun", 0, "substeps must be >= 1")])
+def test_solver_and_substeps_checked_before_any_step(sched, bimodal, grid4, monkeypatch,
+                                                     solver, substeps, match):
+    # _advance dispatches on a name already checked: an unknown one must
+    # not fall through to a stepper
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    for name in ("step_euler", "step_heun", "step_exponential"):
+        monkeypatch.setattr(traj_mod, name, no_step)
+    with pytest.raises(ValueError, match=match):
+        solve_trajectory(bimodal, sched, np.zeros((3, 2)), grid4, solver=solver,
+                         substeps=substeps)
 
 
 def test_divergence_reports_time(sched):
