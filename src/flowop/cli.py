@@ -110,6 +110,8 @@ class ExperimentConfig:
             check_solver(self.dataset["solver"], self.dataset["substeps"])
             if self.dataset["N"] < 1:
                 raise ValueError("N must be >= 1")
+            if self.dataset["base_seed"] < 0:
+                raise ValueError(f"base_seed must be >= 0, got {self.dataset['base_seed']}")
         self.out_dir = cfg["out_dir"]
 
     def flat_items(self):
@@ -169,13 +171,8 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
 
 def _sample_endpoints(cfg: ExperimentConfig, n: int, seed: int) -> np.ndarray:
     params, _ = load_checkpoint(_model_path(cfg))
-    rng = np.random.default_rng(seed)
-    out = np.empty((n, cfg.mixture.d))
-    for lo in range(0, n, 4096):
-        hi = min(lo + 4096, n)
-        x_T = rng.standard_normal((hi - lo, cfg.mixture.d))
-        out[lo:hi] = forward(params, x_T, cfg.grid)[:, -1, :]
-    return out
+    x_T = np.random.default_rng(seed).standard_normal((n, cfg.mixture.d))
+    return forward(params, x_T, cfg.grid)[:, -1, :]
 
 
 def cmd_sample(cfg: ExperimentConfig, n: int, seed: int) -> dict:
@@ -214,10 +211,13 @@ def cmd_spectrum(cfg: ExperimentConfig, n: int, seed: int) -> dict:
             "band_fraction_j5_nodc": report.band_fraction_j5_nodc}
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, what: str):
+    """argparse type: a decimal integer >= low; `what` names the range."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,11 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         if name != "gen-data":
-            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"),
+                            default=None)
         if name == "train":
             sp.add_argument("--steps", type=int, default=None)
         if name in ("sample", "eval", "spectrum"):
-            sp.add_argument("--n", type=_positive_int,
+            sp.add_argument("--n", type=_int_at_least(1, "a positive integer"),
                             default={"sample": 1000, "eval": 10000, "spectrum": 100}[name])
     return p
 

@@ -98,20 +98,39 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _result(out, shape, dtype) -> np.ndarray:
+    """The array an op writes its result into: a fresh one, or the caller's
+    C-contiguous `out`. A recorded node keeps its value for the backward
+    pass, so `out` is accepted only while the tape is off."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if _TAPE.recording:
+        raise ValueError("out= is only accepted under no_record()")
+    if out.shape != tuple(shape) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {tuple(shape)} array")
+    return out
+
+
+def add(a: Tensor, b: Tensor, out=None) -> Tensor:
+    """a + b with broadcasting; `out` may be a's or b's own array."""
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-    return Tensor(a.value + b.value, (a, b), bw)
+    res = _result(out, np.broadcast_shapes(a.shape, b.shape),
+                  np.result_type(a.value, b.value))
+    return Tensor(np.add(a.value, b.value, out=res), (a, b), bw)
 
 
-def affine_pointwise(W: Tensor, b: Tensor, u: Tensor) -> Tensor:
-    """Row-wise affine map: each trailing-axis vector goes through W x + b."""
+def affine_pointwise(W: Tensor, b: Tensor, u: Tensor, out=None) -> Tensor:
+    """Row-wise affine map: each trailing-axis vector goes through W x + b.
+    `out` must not overlap u."""
     if W.value.shape[1] != u.value.shape[-1] or b.value.shape[0] != W.value.shape[0]:
         raise ValueError("affine shape mismatch")
     # one GEMM over all leading axes; numpy's stacked matmul would run one
     # small GEMM per leading index
     rows = u.value.reshape(-1, u.value.shape[-1])
-    out = rows @ W.value.T
+    res = _result(out, (*u.value.shape[:-1], W.value.shape[0]),
+                  np.result_type(rows, W.value))
+    out = np.matmul(rows, W.value.T, out=res.reshape(-1, W.value.shape[0]))
     out += b.value          # in place: a fresh large array costs page faults
 
     def bw(g):
@@ -121,12 +140,14 @@ def affine_pointwise(W: Tensor, b: Tensor, u: Tensor) -> Tensor:
         gu = (g2 @ W.value).reshape(u.value.shape)
         return gW, gb, gu
 
-    return Tensor(out.reshape(*u.value.shape[:-1], W.value.shape[0]), (W, b, u), bw)
+    return Tensor(res, (W, b, u), bw)
 
 
-def leaky_relu(u: Tensor, slope: float = 0.01) -> Tensor:
-    """max(u, slope*u); a leaky ReLU for 0 <= slope < 1."""
-    out = slope * u.value
+def leaky_relu(u: Tensor, slope: float = 0.01, out=None) -> Tensor:
+    """max(u, slope*u); a leaky ReLU for 0 <= slope < 1. `out` must not
+    overlap u."""
+    out = np.multiply(u.value, slope,
+                      out=_result(out, u.value.shape, np.result_type(u.value, slope)))
     np.maximum(u.value, out, out=out)
 
     def bw(g):
@@ -182,16 +203,22 @@ def dft_at_positions(u: Tensor, J: int, positions, M: int) -> Tensor:
     return Tensor(_from_re_im_cols(y), (u,), bw)
 
 
-def mode_multiply(R: Tensor, u_hat: Tensor) -> Tensor:
-    """Per-mode complex matrix-vector product: out[j,k] = sum_l R[j,k,l] u_hat[j,l]."""
+def _mode_blocks(Rv: np.ndarray) -> np.ndarray:
+    """(J, K, C) complex kernel -> (J, 2C, 2K) real blocks
+    W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]], which map the real
+    pair (Re u_hat_j | Im u_hat_j) of mode j to (Re out_j | Im out_j)."""
+    Rt = Rv.transpose(0, 2, 1)                                # (J, C, K)
+    return np.block([[Rt.real, Rt.imag], [-Rt.imag, Rt.real]])
+
+
+def mode_multiply(R: Tensor, u_hat: Tensor, matrix=None) -> Tensor:
+    """Per-mode complex matrix-vector product: out[j,k] = sum_l R[j,k,l] u_hat[j,l].
+    `matrix` is R's prebuilt `_mode_blocks`, if the caller has it."""
     if R.value.shape[0] != u_hat.value.shape[-2] or R.value.shape[2] != u_hat.value.shape[-1]:
         raise ValueError("kernel/coefficient shape mismatch")
     uv = u_hat.value
     J, K, C = R.value.shape
-    # W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]] maps the real pair
-    # (Re u_hat_j | Im u_hat_j) of mode j to (Re out_j | Im out_j)
-    Rt = R.value.transpose(0, 2, 1)                           # (J, C, K)
-    W = np.block([[Rt.real, Rt.imag], [-Rt.imag, Rt.real]])   # (J, 2C, 2K)
+    W = _mode_blocks(R.value) if matrix is None else matrix
     x = _re_im_cols(uv).reshape(-1, J, 2 * C)
     y = np.empty((x.shape[0], J, 2 * K))
     np.matmul(x.transpose(1, 0, 2), W, out=y.transpose(1, 0, 2))
@@ -220,7 +247,7 @@ def _idft_basis(J: int, M: int, queries: np.ndarray) -> np.ndarray:
     return (c[:, None] / M) * np.exp(2j * np.pi * j * q / M)
 
 
-def idft_at(u_hat: Tensor, M: int, queries) -> Tensor:
+def idft_at(u_hat: Tensor, M: int, queries, out=None) -> Tensor:
     """Real trigonometric interpolant of one-sided modes at (fractional)
     index positions; at the full integer grid with maximal J this is the
     exact inverse DFT."""
@@ -228,7 +255,8 @@ def idft_at(u_hat: Tensor, M: int, queries) -> Tensor:
     J, K = uv.shape[-2:]
     Bs = _re_im_rows(np.conj(_idft_basis(J, M, queries)))     # (2J, Q)
     Q = Bs.shape[1]
-    out = (Bs.T @ _re_im_cols(uv).reshape(-1, 2 * J, K)).reshape(*uv.shape[:-2], Q, K)
+    out = _result(out, (*uv.shape[:-2], Q, K), float)
+    np.matmul(Bs.T, _re_im_cols(uv).reshape(-1, 2 * J, K), out=out.reshape(-1, Q, K))
 
     def bw(g):
         gy = (Bs @ g.reshape(-1, Q, K)).reshape(*uv.shape[:-2], J, 2 * K)
@@ -248,14 +276,41 @@ def _dense_spectral_map(Q: int, J: int) -> bool:
     return Q * Q < 8 * J
 
 
-def spectral_conv(R: Tensor, u: Tensor, positions, M: int) -> Tensor:
+def _pair_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
+    """(Q*Q, 2J) real columns of conj P, P[(m, n), j] = F[j, m] B[j, n]."""
+    F = _dft_basis(J, positions, M)                           # (J, Q)
+    B = _idft_basis(J, M, positions)                          # (J, Q)
+    P = (F[:, :, None] * B[:, None, :]).reshape(J, -1)
+    return _re_im_rows(np.conj(P)).T
+
+
+def _dense_map(Rv: np.ndarray, positions: np.ndarray, M: int) -> np.ndarray:
+    """The dense real (Q*C, Q*K) map of spectral_conv for kernel Rv (J, K, C)."""
+    J, K, C = Rv.shape
+    Q = positions.size
+    T = _pair_basis(J, positions, M) @ _re_im_rows(Rv.reshape(J, K * C))  # (Q*Q, K*C)
+    return T.reshape(Q, Q, K, C).transpose(0, 3, 1, 2).reshape(Q * C, Q * K)
+
+
+def spectral_matrix(R: Tensor, positions, M: int) -> np.ndarray:
+    """The matrix spectral_conv applies for kernel R at these positions: its
+    dense map, or mode_multiply's real blocks. It depends on neither the
+    rows nor the tape, so one build serves every row block of a call."""
+    positions = np.asarray(positions, dtype=float)
+    if _dense_spectral_map(positions.size, R.value.shape[0]):
+        return _dense_map(R.value, positions, M)
+    return _mode_blocks(R.value)
+
+
+def spectral_conv(R: Tensor, u: Tensor, positions, M: int, matrix=None, out=None) -> Tensor:
     """idft_at(mode_multiply(R, dft_at_positions(u, J, positions, M)), M,
     positions): (..., Q, C) -> (..., Q, K) for R (J, K, C).
 
     For small Q (see _dense_spectral_map) the branch is applied as one dense
     real (Q*C, Q*K) map per sample, T[m,l,n,k] = Re sum_j F[j,m] R[j,k,l] B[j,n].
     The map grows as Q^2, so for larger Q (dense queries) the three ops run
-    in turn.
+    in turn. `matrix` is `spectral_matrix(R, positions, M)`, if the caller
+    has it; `out` must not overlap u.
     """
     Rv, uv = R.value, u.value
     J, K, C = Rv.shape
@@ -264,22 +319,19 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int) -> Tensor:
     if uv.shape[-2:] != (Q, C):
         raise ValueError("kernel/feature shape mismatch")
     if not _dense_spectral_map(Q, J):
-        return idft_at(mode_multiply(R, dft_at_positions(u, J, positions, M)), M, positions)
+        u_hat = mode_multiply(R, dft_at_positions(u, J, positions, M), matrix=matrix)
+        return idft_at(u_hat, M, positions, out=out)
 
-    # P[(m, n), j] = F[j, m] B[j, n]; A holds its conjugate as real columns
-    F = _dft_basis(J, positions, M)                           # (J, Q)
-    B = _idft_basis(J, M, positions)                          # (J, Q)
-    P = (F[:, :, None] * B[:, None, :]).reshape(J, Q * Q)
-    A = _re_im_rows(np.conj(P)).T                             # (Q*Q, 2J)
-    T = A @ _re_im_rows(Rv.reshape(J, K * C))                 # (Q*Q, K*C)
-    T = T.reshape(Q, Q, K, C).transpose(0, 3, 1, 2).reshape(Q * C, Q * K)
+    T = _dense_map(Rv, positions, M) if matrix is None else matrix
     rows = uv.reshape(-1, Q * C)
-    out = (rows @ T).reshape(*uv.shape[:-2], Q, K)
+    out = _result(out, (*uv.shape[:-2], Q, K), float)
+    np.matmul(rows, T, out=out.reshape(-1, Q * K))
 
     def bw(g):
         g2 = g.reshape(-1, Q * K)
         gu = (g2 @ T.T).reshape(uv.shape)
         gT = (rows.T @ g2).reshape(Q, C, Q, K).transpose(0, 2, 3, 1)
+        A = _pair_basis(J, positions, M)
         gR = (A.T @ gT.reshape(Q * Q, K * C)).reshape(J, 2, K, C)
         return gR[:, 0] + 1j * gR[:, 1], gu
 

@@ -106,58 +106,108 @@ def param_count(config: DsnoConfig) -> int:
 
 
 def temporal_conv(kernel: Tensor, u: Tensor, M: int, positions=None,
-                  slope: float = 0.01) -> Tensor:
+                  slope: float = 0.01, matrix=None, work=None) -> Tensor:
     """u + leaky_relu(K u), K the truncated Fourier kernel operator.
 
     The shortcut is the identity and no bias enters the spectral branch.
     `positions` are fractional index coordinates for resolution-free
-    evaluation; default is the integer grid.
+    evaluation; default is the integer grid. `matrix` is the kernel's
+    `nnops.spectral_matrix`; `work`, three arrays shaped like u, receives
+    the result (the first, which may be u itself) and the two temporaries.
     """
     if positions is None:
         positions = np.arange(M, dtype=float)
-    k_branch = nnops.spectral_conv(kernel, u, positions, M)
-    return nnops.add(u, nnops.leaky_relu(k_branch, slope))
+    out, k_out, act_out = work or (None, None, None)
+    k_branch = nnops.spectral_conv(kernel, u, positions, M, matrix=matrix, out=k_out)
+    return nnops.add(u, nnops.leaky_relu(k_branch, slope, out=act_out), out=out)
 
 
 def _embed_matrix(times: np.ndarray, E: int) -> np.ndarray:
     return np.stack([nnops.time_embedding(t, E) for t in times])
 
 
-def _forward_graph(params: DsnoParams, x_T: np.ndarray, times: np.ndarray,
-                   positions: np.ndarray) -> Tensor:
+def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray,
+          matrices: bool) -> list[tuple]:
+    """What each residual block needs that does not depend on the rows: its
+    time-embedding rows (Q, C) and, with `matrices`, its prebuilt
+    `nnops.spectral_matrix` (else None)."""
     cfg = params.config
-    x_T = np.asarray(x_T, dtype=float)
-    squeeze = x_T.ndim == 1
-    if squeeze:
-        x_T = x_T[None, :]
-    # lifted once per sample; the first embedding add broadcasts it over Q
+    emb_t = nnops.param(_embed_matrix(times, cfg.E))
+    return [(nnops.affine_pointwise(blk.emb_W, blk.emb_b, emb_t),
+             nnops.spectral_matrix(blk.kernel, positions, cfg.M) if matrices else None)
+            for blk in params.blocks]
+
+
+def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
+                   plan: list[tuple], work=None, out=None) -> Tensor:
+    """(n, d) rows -> (n, Q, d) outputs at `positions`. Under no_record(),
+    `work` (three (n, Q, C) arrays) and `out` receive every (n, Q, ·)
+    result, so the graph allocates no array of that size."""
+    cfg = params.config
+    a, b, c = work or (None, None, None)
+    # lifted once per sample; the first embedding add broadcasts it over Q.
+    # c is free until the first leaky ReLU, so its head holds the lift
+    lift = None if c is None else c.reshape(-1)[:len(c) * cfg.C].reshape(-1, 1, cfg.C)
     u = nnops.affine_pointwise(params.lift_W, params.lift_b,
-                               nnops.param(x_T[:, None, :]))   # (B, 1, C)
-    emb = _embed_matrix(times, cfg.E)                     # (Q, E)
-    emb_t = nnops.param(emb)
-    for blk in params.blocks:
-        e = nnops.affine_pointwise(blk.emb_W, blk.emb_b, emb_t)   # (Q, C)
-        u = nnops.add(u, e)
-        t1 = nnops.leaky_relu(nnops.affine_pointwise(blk.W1, blk.b1, u), cfg.slope)
-        t2 = nnops.affine_pointwise(blk.W2, blk.b2, t1)
-        u = nnops.add(u, t2)
-        u = temporal_conv(blk.kernel, u, cfg.M, positions, cfg.slope)
-    y = nnops.affine_pointwise(params.proj_W, params.proj_b, u)
-    return y, squeeze
+                               nnops.param(x_T[:, None, :]), out=lift)   # (n, 1, C)
+    for blk, (e, matrix) in zip(params.blocks, plan):
+        u = nnops.add(u, e, out=a)
+        h = nnops.affine_pointwise(blk.W1, blk.b1, u, out=b)
+        t1 = nnops.leaky_relu(h, cfg.slope, out=c)
+        t2 = nnops.affine_pointwise(blk.W2, blk.b2, t1, out=b)
+        u = nnops.add(u, t2, out=a)
+        u = temporal_conv(blk.kernel, u, cfg.M, positions, cfg.slope, matrix, work)
+    return nnops.affine_pointwise(params.proj_W, params.proj_b, u, out=out)
+
+
+# Inference runs its rows in blocks of at most max(1, _BLOCK // Q) rows,
+# equal to within one row, so each affine GEMM keeps about _BLOCK / 2 rows
+# or more. With fewer (about 600 for the (C, d) projection; OpenBLAS 0.3.31,
+# x86-64) BLAS takes another kernel and the rows differ in the last bit
+# from one pass; 1024 did at 257 rows (see CHANGES.md).
+_BLOCK = 2048
+
+
+def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Tape-free evaluation of (d,) or (n, d) rows at `times`, which sit at
+    `positions` of the grid: (Q, d) or (n, Q, d).
+
+    The plan (embedding rows and spectral matrices) is built once per call;
+    the rows then run in blocks whose every (rows, Q, ·) result lands in the
+    work arrays or the output, so a call allocates the same few arrays at
+    any row count and does not page-fault a working set that grows with it.
+    """
+    cfg = params.config
+    x = np.asarray(x_T, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"x_T must be (d,) or (n, d), got shape {x.shape}")
+    rows = np.atleast_2d(x)
+    n, Q = rows.shape[0], positions.size
+    nblocks = max(1, -(-n // max(1, _BLOCK // Q)))
+    edges = [n * i // nblocks for i in range(nblocks + 1)]
+    y = np.empty((n, Q, cfg.d))
+    # one allocation: freeing it sets glibc's dynamic mmap threshold to its
+    # size and the trim threshold to twice that, so later calls take it from
+    # the heap and keep it there instead of page-faulting it in again
+    work = np.empty((3, -(-n // nblocks), Q, cfg.C))
+    with nnops.no_record():
+        plan = _plan(params, times, positions, matrices=True)
+        for lo, hi in zip(edges, edges[1:]):
+            _forward_graph(params, rows[lo:hi], positions, plan,
+                           [w[:hi - lo] for w in work], y[lo:hi])
+    return y[0] if x.ndim == 1 else y
 
 
 def forward(params: DsnoParams, x_T, grid: TimeGrid) -> np.ndarray:
     """One-call prediction of the whole trajectory: (M, d) or (B, M, d)."""
-    with nnops.no_record():
-        y, squeeze = _forward_graph(params, x_T, grid.times,
-                                    np.arange(params.config.M, dtype=float))
-    return y.value[0] if squeeze else y.value
+    return _infer(params, x_T, grid.times, np.arange(params.config.M, dtype=float))
 
 
 def forward_loss(params: DsnoParams, x_T, grid: TimeGrid, target, weights) -> Tensor:
     """Differentiable weighted l1 training loss for a batch."""
-    y, _ = _forward_graph(params, x_T, grid.times,
-                          np.arange(params.config.M, dtype=float))
+    positions = np.arange(params.config.M, dtype=float)
+    plan = _plan(params, grid.times, positions, matrices=False)
+    y = _forward_graph(params, np.asarray(x_T, dtype=float), positions, plan)
     return nnops.weighted_l1(y, target, weights)
 
 
@@ -178,21 +228,12 @@ def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times) -> np.ndarray
     """Evaluate the trained operator at arbitrary times within the grid span.
 
     Querying exactly the training grid reproduces `forward` bit-for-bit
-    (identical positions, identical per-row arithmetic). Rows run in chunks
-    of 4096 // Q, so each (rows, Q, C) temporary holds at most 4096 * C
-    values (2 MB at C = 64): the chunks reuse one small working set, where
-    one pass over all rows grows the heap by its whole working set and
-    page-faults it in again on every call.
+    (identical positions, identical per-row arithmetic): both run the same
+    row-block evaluator, so a query over any number of rows and times keeps
+    the working set of one block.
     """
     q = np.asarray(query_times, dtype=float)
-    positions = query_positions(grid, q)
-    x = np.asarray(x_T, dtype=float)
-    rows = max(1, 4096 // q.size)
-    with nnops.no_record():
-        if x.ndim == 1:
-            return _forward_graph(params, x, q, positions)[0].value[0]
-        return np.concatenate([_forward_graph(params, x[i:i + rows], q, positions)[0].value
-                               for i in range(0, max(len(x), 1), rows)])
+    return _infer(params, x_T, q, query_positions(grid, q))
 
 
 _CKPT_MAGIC = b"FOP1"

@@ -32,6 +32,8 @@ class TrainConfig:
             raise ValueError("warmup exceeds total steps")
         if self.weighting not in ("uniform", "snr_sqrt"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def grid_weights(sched: NoiseSchedule, grid: TimeGrid, weighting: str) -> np.ndarray:
@@ -199,21 +201,16 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
     return TrainResult(params=params, loss_curve=curve)
 
 
-def eval_trajectory_rmse(params: DsnoParams, dataset: TrajectoryDataset,
-                         batch: int = 2048) -> tuple[np.ndarray, float]:
+def eval_trajectory_rmse(params: DsnoParams, dataset: TrajectoryDataset
+                         ) -> tuple[np.ndarray, float]:
     """Per-grid-time and pooled RMSE of one-call predictions on held-out data."""
     if dataset.grid.M != params.config.M:
         raise ValueError("grid length mismatch")
-    sq_sum = np.zeros(dataset.grid.M)
-    count = 0
-    for lo in range(0, dataset.N, batch):
-        x = dataset.x_T[lo:lo + batch].astype(float)
-        y = dataset.values[lo:lo + batch].astype(float)
-        pred = forward(params, x, dataset.grid)
-        sq_sum += np.sum((pred - y) ** 2, axis=(0, 2))
-        count += x.shape[0]
-    per_time = np.sqrt(sq_sum / (count * dataset.d))
-    pooled = float(np.sqrt(sq_sum.sum() / (count * dataset.d * dataset.grid.M)))
+    pred = forward(params, dataset.x_T.astype(float), dataset.grid)
+    sq_sum = np.sum((pred - dataset.values.astype(float)) ** 2, axis=(0, 2))
+    count = dataset.N * dataset.d
+    per_time = np.sqrt(sq_sum / count)
+    pooled = float(np.sqrt(sq_sum.sum() / (count * dataset.grid.M)))
     return per_time, pooled
 
 

@@ -34,21 +34,22 @@ def grid4(sched):
 def mode_stacks():
     """Runs fn() and returns its result with the mode stack (..., J, K) of
     every spectral branch it ran, mode_multiply(R, dft_at_positions(u, J,
-    positions, M)), recorded by wrapping nnops.spectral_conv."""
+    positions, M)), recorded by wrapping nnops.spectral_conv. Each stack is
+    taken during the call, because inference reuses u's array afterwards."""
     from flowop import nnops
     spectral_conv = nnops.spectral_conv
 
     def run(fn):
-        calls = []
+        stacks = []
 
-        def record(R, u, positions, M):
-            calls.append((R, u, positions, M))
-            return spectral_conv(R, u, positions, M)
+        def record(R, u, positions, M, **kwargs):
+            stacks.append(nnops.mode_multiply(R, nnops.dft_at_positions(
+                u, R.value.shape[0], positions, M)).value)
+            return spectral_conv(R, u, positions, M, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nnops, "spectral_conv", record)
             out = fn()
-        return out, [nnops.mode_multiply(R, nnops.dft_at_positions(
-            u, R.value.shape[0], positions, M)).value for R, u, positions, M in calls]
+        return out, stacks
 
     return run

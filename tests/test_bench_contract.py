@@ -47,9 +47,9 @@ def test_dense_query_runs_the_traced_spectral_ops(monkeypatch):
     assert set(names) <= set(SPANS.NNOPS)
     calls = Counter()
     for name in names:
-        def counted(*args, name=name, fn=getattr(nnops, name)):
+        def counted(*args, name=name, fn=getattr(nnops, name), **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(nnops, name, counted)
     cfg = DsnoConfig(d=2, C=8, L=2, J=3, M=4, E=8)
     grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)

@@ -273,6 +273,8 @@ def _only_config_left(tmp_path):
     ({"dataset": {"solver": "rk4"}}, "config error: dataset: unknown solver 'rk4'"),
     ({"dataset": {"substeps": 0}}, "config error: dataset: substeps"),
     ({"dataset": {"N": 0}}, "config error: dataset: N"),
+    ({"dataset": {"base_seed": -5}}, "config error: dataset: base_seed must be >= 0"),
+    ({"training": {"seed": -1}}, "config error: training: seed must be >= 0"),
 ])
 @pytest.mark.parametrize("command", ["gen-data", "eval"])
 def test_cli_bad_section_exits_2_before_any_write(tmp_path, capsys, raw, match, command):
@@ -291,6 +293,16 @@ def test_cli_n_must_be_positive(tmp_path, capsys, n):
     path.write_text(json.dumps({"out_dir": str(tmp_path / "run")}))
     assert run(["sample", "--config", str(path), f"--n={n}"]) == 2
     assert "must be a positive integer" in capsys.readouterr().err
+    assert _only_config_left(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "eval", "spectrum"])
+def test_cli_seed_must_be_non_negative(tmp_path, capsys, command):
+    # numpy refuses a negative seed only once the command draws from it
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "run")}))
+    assert run([command, "--config", str(path), "--seed", "-1"]) == 2
+    assert "must be a non-negative integer, got '-1'" in capsys.readouterr().err
     assert _only_config_left(tmp_path)
 
 

@@ -209,6 +209,44 @@ def test_no_record_builds_no_graph_and_restores():
     assert np.allclose(a.grad, 4.0)
 
 
+def _out_calls(rng):
+    """Each op that takes out=, as a function of out, on (2, Q, 3) results;
+    spectral_conv on its dense (Q=4) and its factored (Q=8) path."""
+    M = 4
+    W, b = param(_rand(rng, 3, 5)), param(_rand(rng, 3))
+    u5, u3, u8 = param(_rand(rng, 2, 4, 5)), param(_rand(rng, 2, 4, 3)), param(_rand(rng, 2, 8, 3))
+    R = param(_rand(rng, 3, 3, 3) + 1j * _rand(rng, 3, 3, 3))
+    u_hat = param(_rand(rng, 2, 3, 3) + 1j * _rand(rng, 2, 3, 3))
+    e = param(_rand(rng, 4, 3))
+    return {
+        "affine_pointwise": lambda out: affine_pointwise(W, b, u5, out=out),
+        "leaky_relu": lambda out: leaky_relu(u3, 0.1, out=out),
+        "add": lambda out: add(u3, e, out=out),
+        "spectral_conv": lambda out: spectral_conv(R, u3, np.arange(4.0), M, out=out),
+        "spectral_conv_factored": lambda out: spectral_conv(R, u8, np.arange(8) / 2, M,
+                                                            out=out),
+        "idft_at": lambda out: idft_at(u_hat, M, np.arange(4.0), out=out),
+    }
+
+
+@pytest.mark.parametrize("name", ["affine_pointwise", "leaky_relu", "add", "spectral_conv",
+                                  "spectral_conv_factored", "idft_at"])
+def test_out_only_without_tape(name):
+    # a recorded node keeps its value for backward, so it must own it;
+    # under no_record() the op writes its exact result into out
+    call = _out_calls(np.random.default_rng(12))[name]
+    want = call(None).value
+    out = np.empty_like(want)
+    with pytest.raises(ValueError, match="no_record"):
+        call(out)
+    with no_record():
+        got = call(out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            call(np.empty(want.shape[::-1]).T)
+    assert got.value is out
+    assert out.tobytes() == want.tobytes()
+
+
 def test_time_embedding_structure():
     e = time_embedding(0.0, 8)
     assert e.shape == (8,)

@@ -1,9 +1,17 @@
+import hashlib
+import json
 import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowop.nnops import grad_check, idft_at, param, spectral_conv
+from flowop import operator
+from flowop.nnops import grad_check, idft_at, no_record, param, spectral_conv
 from flowop.operator import (DsnoConfig, DsnoParams, forward, forward_loss, init_params,
                              load_checkpoint, param_count, query_at, query_positions,
                              save_checkpoint, temporal_conv)
@@ -149,6 +157,31 @@ def test_forward_loss_gradients(grid4):
     assert grad_check(f, p.tensors(), step=1e-5) < 1e-5
 
 
+@pytest.mark.parametrize("cfg, rows, want", [
+    (DsnoConfig(), 256,
+     "70fbc383997d1146b9c6b12303cf6c07f7049fe6fea535e16c1b0f88c6e07c69"),
+    (DsnoConfig(C=32, J=5, M=8), 64,
+     "43165ad73b92003a44e42ae2d447a598d1cdfd7b157ed24773f595cb8887002a"),
+], ids=["dense", "factored"])
+def test_training_step_bits_pinned(cfg, rows, want):
+    # the loss and every gradient of one training step, on the dense (M=4)
+    # and the factored (M=8) spectral path; digests taken with float64
+    # OpenBLAS 0.3.31 on x86-64, bit-identical to the one-pass graph
+    # before inference shared it with the row-block evaluator
+    grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)
+    p = init_params(cfg, seed=21)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((rows, cfg.d))
+    target = rng.standard_normal((rows, cfg.M, cfg.d))
+    w = np.abs(rng.standard_normal(cfg.M)) + 0.2
+    loss = forward_loss(p, x, grid, target, w)
+    loss.backward()
+    h = hashlib.sha256(loss.value.tobytes())
+    for t in p.tensors():
+        h.update(t.grad.tobytes())
+    assert h.hexdigest() == want
+
+
 def test_inference_leaves_tape_recording(grid4):
     # forward/query_at build no graph, and neither leaves the tape off,
     # even when they raise inside the no-record scope
@@ -201,7 +234,7 @@ def test_query_positions_rejects_empty_and_non_finite(grid4, times):
 def test_query_at_grid_reproduces_forward(grid4):
     cfg = small_config()
     p = init_params(cfg, seed=7)
-    # 1500 rows span two of query_at's row chunks at Q = 4
+    # 1500 rows span three of the evaluator's row blocks at Q = 4
     for n in (3, 1500):
         x = np.random.default_rng(8).standard_normal((n, 2))
         assert np.array_equal(query_at(p, x, grid4, grid4.times), forward(p, x, grid4))
@@ -254,6 +287,92 @@ def test_query_midpoint_is_trigonometric_interpolant(grid4):
     t_half = 0.5 * (grid4.times[0] + grid4.times[1])
     pos = query_positions(grid4, [t_half])
     assert pos[0] == pytest.approx(0.5, abs=1e-12)
+
+
+# --------------------------------------------------------- row-block evaluator
+
+def unblocked_inference(params, x, times, positions):
+    """The evaluator's oracle: one `_forward_graph` pass over all rows under
+    no_record(), with no work arrays and no prebuilt spectral matrices."""
+    plan = operator._plan(params, times, positions, matrices=False)
+    with no_record():
+        y = operator._forward_graph(params, np.atleast_2d(x), positions, plan).value
+    return y[0] if np.ndim(x) == 1 else y
+
+
+@pytest.mark.parametrize("Q", [4, 64])
+def test_blocked_inference_matches_one_pass(grid4, Q):
+    # default model; row counts around one block, and the benchmark's
+    # shapes: no block may be small enough for BLAS to change kernels
+    p = init_params(DsnoConfig(), seed=23)
+    x = np.random.default_rng(24).standard_normal((4096, 2))
+    times = grid4.times if Q == 4 else np.linspace(grid4.times[0], grid4.times[-1], Q)
+    positions = query_positions(grid4, times)
+    rows = max(1, operator._BLOCK // Q)
+    counts = (rows - 1, rows, rows + 1) + ((3000, 4096) if Q == 4 else (256,))
+    for xs in [x[0]] + [x[:n] for n in counts]:
+        want = unblocked_inference(p, xs, times, positions)
+        assert np.array_equal(query_at(p, xs, grid4, times), want)
+        if Q == 4:
+            assert np.array_equal(forward(p, xs, grid4), want)
+
+
+def test_inference_memory_does_not_grow_with_rows(grid4):
+    # the work arrays and the plan are sized by the block, not by the call:
+    # 8x the rows add only their own output
+    p = init_params(DsnoConfig(), seed=25)
+    x = np.random.default_rng(26).standard_normal((16384, 2))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            forward(p, x[:n], grid4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2048), peak(16384)
+    assert large <= small + 16384 * 4 * 2 * 8 + 2**20
+
+
+FAULT_PROBE = """
+import json, resource
+import numpy as np
+from flowop.operator import DsnoConfig, forward, init_params, query_at
+from flowop.trajectories import make_time_grid
+grid = make_time_grid(4, "quadratic", 1.0, 1e-3)
+p = init_params(DsnoConfig(), seed=3)
+x = np.random.default_rng(4).standard_normal((4096, 2))
+q = np.linspace(grid.times[0], grid.times[-1], 64)
+
+def faults(call):
+    out = []
+    for _ in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        out.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+
+print(json.dumps([faults(lambda: query_at(p, x[:256], grid, q)),
+                  faults(lambda: forward(p, x, grid))]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="page-fault counts follow glibc's allocator")
+def test_inference_page_faults_stay_bounded():
+    # in a fresh process, with no larger call before it to raise glibc's
+    # mmap and trim thresholds, a dense query (256 rows, Q=64) and a
+    # 4096-row forward must not page-fault their working set back in on
+    # every call; one pass over all rows took 20k and 8k faults per call
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    query, fwd = json.loads(out.splitlines()[-1])
+    assert max(query[1:]) < 2000 and max(fwd[1:]) < 2000, (query, fwd)
 
 
 # --------------------------------------------------------------- checkpoints
