@@ -1,14 +1,14 @@
 """Desk-scale lab for distilling probability-flow ODE trajectories of a
 Gaussian-mixture diffusion into a one-call Fourier temporal operator."""
 
-from .schedule import NoiseSchedule, ScheduleCoeffs, coefficients_at, loss_weight, phi
+from .schedule import NoiseSchedule, ScheduleCoeffs, coefficients_at, loss_weight
 from .mixture import GaussianMixture, default_bimodal, epsilon_hat, marginal_params, sample_data, score
 from .trajectories import (TimeGrid, Trajectory, TrajectoryDataset, generate_dataset,
                            make_time_grid, pf_rhs, solve_trajectory, step_euler,
                            step_exponential, step_heun)
 from .operator import (DsnoConfig, DsnoParams, forward, init_params, load_checkpoint,
-                       param_count, query_at, save_checkpoint, temporal_conv)
-from .training import (TrainConfig, adam_step, convergence_order, eval_trajectory_rmse,
+                       query_at, save_checkpoint, temporal_conv)
+from .training import (TrainConfig, adam_step, eval_trajectory_rmse,
                        lr_at, sliced_wasserstein, train, weighted_loss)
 from .spectrum import PowerSpectrum, band_fraction, power_spectrum, trajectory_spectrum_report
 

@@ -101,6 +101,9 @@ class ExperimentConfig:
             self.mixture = GaussianMixture(**cfg["mixture"])
         with _section("grid"):
             self.grid = make_time_grid(**cfg["grid"])
+            if self.grid.times[0] > self.sched.t_max:
+                raise ValueError(f"s={self.grid.times[0]:g} exceeds "
+                                 f"schedule.t_max={self.sched.t_max:g}")
         with _section("model"):
             self.model = DsnoConfig(d=self.mixture.d, M=self.grid.M, **cfg["model"])
         with _section("training"):

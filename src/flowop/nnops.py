@@ -366,41 +366,3 @@ def weighted_l1(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor
         return (g * np.sign(diff) * w[:, None] / norm,)
 
     return Tensor(np.asarray(out), (pred,), bw)
-
-
-def grad_check(f, params, step: float = 1e-5, guard: float = 1e-3) -> float:
-    """Max relative disagreement between analytic and central-difference
-    gradients of the scalar f(params) over every real coordinate.
-
-    Complex parameters are perturbed separately in their real and
-    imaginary parts; the denominator is guarded for near-zero gradients.
-    """
-    loss = f(params)
-    loss.backward()
-    analytic = [np.zeros_like(p.value) if p.grad is None else np.array(p.grad)
-                for p in params]
-
-    def eval_loss():
-        v = f(params).value
-        if not np.isfinite(v):
-            raise FloatingPointError("non-finite loss during grad check")
-        return float(v)
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        aflat = a.reshape(-1)
-        parts = (1.0, 1j) if np.iscomplexobj(p.value) else (1.0,)
-        for i in range(flat.size):
-            for unit in parts:
-                orig = flat[i]
-                flat[i] = orig + unit * step
-                hi = eval_loss()
-                flat[i] = orig - unit * step
-                lo = eval_loss()
-                flat[i] = orig
-                numeric = (hi - lo) / (2 * step)
-                ana = aflat[i].real if unit == 1.0 else aflat[i].imag
-                err = abs(ana - numeric) / max(abs(ana), abs(numeric), guard)
-                worst = max(worst, err)
-    return worst

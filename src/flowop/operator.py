@@ -99,12 +99,6 @@ def init_params(config: DsnoConfig, seed: int) -> DsnoParams:
     return DsnoParams(config, lift_W, lift_b, blocks, proj_W, proj_b)
 
 
-def param_count(config: DsnoConfig) -> int:
-    """Closed-form count of real degrees of freedom (complex = 2 reals)."""
-    d, C, L, J, E = config.d, config.C, config.L, config.J, config.E
-    return d * C + C + L * (E * C + C + 2 * (C * C + C) + 2 * J * C * C) + C * d + d
-
-
 def temporal_conv(kernel: Tensor, u: Tensor, M: int, positions=None,
                   slope: float = 0.01, matrix=None, work=None) -> Tensor:
     """u + leaky_relu(K u), K the truncated Fourier kernel operator.

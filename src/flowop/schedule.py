@@ -67,13 +67,6 @@ def coefficients_at(sched: NoiseSchedule, t: float) -> ScheduleCoeffs:
     return ScheduleCoeffs(beta=b, alpha=a, sigma=sched.sigma(t), h=-0.5 * b, g=math.sqrt(b))
 
 
-def phi(sched: NoiseSchedule, t: float, s: float) -> float:
-    """Homogeneous transition scale exp(int_s^t h) = alpha(t)/alpha(s)."""
-    sched._check_time(t)
-    sched._check_time(s)
-    return math.exp(-0.5 * (sched.beta_integral(t) - sched.beta_integral(s)))
-
-
 def loss_weight(sched: NoiseSchedule, t: float) -> float:
     """SNR^0.5 weight alpha/sigma, clamped below at t_min where it diverges."""
     tc = max(t, sched.t_min)

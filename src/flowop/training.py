@@ -10,7 +10,7 @@ from . import operator
 from .nnops import Tensor
 from .operator import DsnoConfig, DsnoParams, forward, forward_loss, init_params
 from .schedule import NoiseSchedule, loss_weight
-from .trajectories import TimeGrid, TrajectoryDataset, solve_trajectory
+from .trajectories import TimeGrid, TrajectoryDataset, atomic_open
 
 
 @dataclass(frozen=True)
@@ -194,10 +194,10 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
             save_train_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1:07d}.bin"),
                                   params, state, tc)
     if out_dir:
-        with open(os.path.join(out_dir, "loss.tsv"), "w") as f:
-            f.write("step\tlr\tloss\n")
+        with atomic_open(os.path.join(out_dir, "loss.tsv")) as f:
+            f.write(b"step\tlr\tloss\n")
             for s, lr, lo in curve:
-                f.write(f"{s}\t{lr:.8g}\t{lo:.10g}\n")
+                f.write(f"{s}\t{lr:.8g}\t{lo:.10g}\n".encode())
     return TrainResult(params=params, loss_curve=curve)
 
 
@@ -237,26 +237,3 @@ def sliced_wasserstein(A: np.ndarray, B: np.ndarray, n_proj: int = 128,
             b = np.quantile(b, q)
         total += np.mean(np.abs(a - b))
     return total / n_proj
-
-
-def convergence_order(solver: str, gm, sched: NoiseSchedule, grid: TimeGrid,
-                      step_counts=(8, 16, 32, 64, 128), n_init: int = 16,
-                      seed: int = 0, analytic_fn=None) -> tuple[float, str]:
-    """Least-squares slope of log2(endpoint error) vs log2(substeps) on a
-    problem with a known solution; returns (slope, status)."""
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((n_init, gm.d))
-    if analytic_fn is None:
-        raise ValueError("need an analytic reference solution")
-    ref = analytic_fn(x0, grid.times[-1])
-    errs = []
-    for n in step_counts:
-        traj = solve_trajectory(gm, sched, x0, grid, solver=solver, substeps=n)
-        errs.append(np.max(np.abs(traj.values[:, -1, :] - ref)))
-    errs = np.array(errs)
-    if np.all(errs < 1e-13):
-        return 0.0, "exact"
-    logn = np.log2(np.array(step_counts, dtype=float))
-    loge = np.log2(errs)
-    slope = -np.polyfit(logn, loge, 1)[0]
-    return float(slope), "fitted"

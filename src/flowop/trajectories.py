@@ -225,6 +225,80 @@ class TrajectoryDataset:
                    values=payload[:, d:].reshape(N, M, d).copy())
 
 
+# numpy's SeedSequence constants (random/bit_generator.pyx), PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG64_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hashmix(v: np.ndarray, h: list) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words; h = [constant, multiplier]."""
+    v = v ^ h[0]
+    h[0] = h[0] * h[1] & _M32
+    v = v * h[0]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _seed_state(base_seed: int, N: int) -> np.ndarray:
+    """SeedSequence(base_seed + j).generate_state(4, np.uint64) for j < N, as
+    (N, 4) uint64: numpy's algorithm run as uint32 array arithmetic.
+
+    A seed's entropy is its little-endian 32-bit words (one word for 0). The
+    hash depends on how many there are, so it runs once per word count."""
+    base_seed = int(base_seed)   # a numpy integer has no bit_length
+    first, last = (max(1, -(-s.bit_length() // 32)) for s in (base_seed, base_seed + N - 1))
+    seeds = np.arange(base_seed, base_seed + N, dtype=object)
+    words = [(seeds >> 32 * k & _M32).astype(np.uint32) for k in range(last)]
+    state = np.empty((N, 8), np.uint32)
+    for c in range(first, last + 1):   # records a..b-1 have c words
+        a = 0 if c == first else (1 << 32 * (c - 1)) - base_seed
+        b = min((1 << 32 * c) - base_seed, N)
+        entropy = [w[a:b] for w in words[:c]]
+        h = [_INIT_A, _MULT_A]
+        pool = [_hashmix(entropy[i] if i < c else np.zeros(b - a, np.uint32), h)
+                for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], h))
+        for src in range(4, c):
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hashmix(entropy[src], h))
+        h = [_INIT_B, _MULT_B]
+        for i in range(8):
+            state[a:b, i] = _hashmix(pool[i % 4], h)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seeded_normals(base_seed: int, N: int, d: int) -> np.ndarray:
+    """(N, d) rows default_rng(base_seed + j).standard_normal(d), bit for bit.
+
+    All N seeds are hashed at once (`_seed_state`). Each record's PCG64
+    state after seeding is then set on one reused generator, whose own
+    sampler draws the row. The first and last rows are checked against
+    default_rng."""
+    bitgen = np.random.PCG64(0)
+    normal = np.random.Generator(bitgen).standard_normal
+    pcg = {}
+    st = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((N, d))
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(out, _seed_state(base_seed, N).tolist()):
+        pcg["inc"] = inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
+        bitgen.state = st
+        normal(out=row)
+    for j in {0, N - 1}:
+        if not np.array_equal(out[j], np.random.default_rng(base_seed + j).standard_normal(d)):
+            raise RuntimeError(f"record {j}: vectorized seeding differs from "
+                               f"default_rng({base_seed + j})")
+    return out
+
+
 def generate_dataset(gm: GaussianMixture, sched: NoiseSchedule, grid: TimeGrid,
                      N: int, base_seed: int, solver: str = "heun",
                      substeps: int = 64, path=None) -> TrajectoryDataset:
@@ -236,10 +310,7 @@ def generate_dataset(gm: GaussianMixture, sched: NoiseSchedule, grid: TimeGrid,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    d = gm.d
-    x_T = np.empty((N, d))
-    for j in range(N):
-        x_T[j] = np.random.default_rng(base_seed + j).standard_normal(d)
+    x_T = _seeded_normals(base_seed, N, gm.d)
     traj = solve_trajectory(gm, sched, x_T, grid, solver=solver, substeps=substeps)
     ds = TrajectoryDataset(sched=sched, grid=grid,
                            x_T=x_T.astype(np.float32),

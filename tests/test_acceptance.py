@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from flowop.mixture import GaussianMixture, default_bimodal, sample_data
-from flowop.nnops import grad_check, param, spectral_conv
+from flowop.nnops import param, spectral_conv
 from flowop.operator import (DsnoConfig, forward, forward_loss, init_params,
                              load_checkpoint, query_at, save_checkpoint)
 from flowop.schedule import NoiseSchedule
 from flowop.trajectories import (TimeGrid, TrajectoryDataset, generate_dataset,
                                  make_time_grid, pf_rhs, solve_trajectory,
                                  step_exponential)
-from flowop.training import (TrainConfig, convergence_order,
-                             sliced_wasserstein, train)
+from flowop.training import TrainConfig, sliced_wasserstein, train
 from flowop.spectrum import trajectory_spectrum_report
+
+from checks import convergence_order, grad_check
 
 
 @pytest.fixture

@@ -287,6 +287,21 @@ def test_cli_bad_section_exits_2_before_any_write(tmp_path, capsys, raw, match, 
     assert _only_config_left(tmp_path)
 
 
+@pytest.mark.parametrize("raw, s, t_max", [
+    ({"grid": {"s": 2.0}}, "2", "1"),
+    ({"schedule": {"t_max": 0.5}}, "1", "0.5"),
+])
+@pytest.mark.parametrize("command", ["gen-data", "eval"])
+def test_cli_grid_beyond_schedule_exits_2(tmp_path, capsys, raw, s, t_max, command):
+    # the solver would start at t_max and step up to the first grid time
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "run")}))
+    assert run([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: grid: s={s} exceeds schedule.t_max={t_max}" in err
+    assert _only_config_left(tmp_path)
+
+
 @pytest.mark.parametrize("n", ["0", "-3", "abc"])
 def test_cli_n_must_be_positive(tmp_path, capsys, n):
     path = tmp_path / "c.json"

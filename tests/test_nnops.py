@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from flowop.nnops import (Tensor, _dense_spectral_map, _dft_basis, _idft_basis, add,
-                          affine_pointwise, dft_at_positions, grad_check, idft_at,
+                          affine_pointwise, dft_at_positions, idft_at,
                           leaky_relu, mode_multiply, no_record, param, spectral_conv,
                           time_embedding, weighted_l1)
+
+from checks import grad_check
 
 
 def _rand(rng, *shape):

@@ -11,19 +11,27 @@ import numpy as np
 import pytest
 
 from flowop import operator
-from flowop.nnops import grad_check, idft_at, no_record, param, spectral_conv
+from flowop.nnops import idft_at, no_record, param, spectral_conv
 from flowop.operator import (DsnoConfig, DsnoParams, forward, forward_loss, init_params,
-                             load_checkpoint, param_count, query_at, query_positions,
+                             load_checkpoint, query_at, query_positions,
                              save_checkpoint, temporal_conv)
 from flowop.trajectories import make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, load_train_checkpoint,
                              save_train_checkpoint)
+
+from checks import grad_check
 
 
 def small_config(**kw):
     base = dict(d=2, C=8, L=2, J=3, M=4, E=8)
     base.update(kw)
     return DsnoConfig(**base)
+
+
+def param_count(config: DsnoConfig) -> int:
+    """Closed-form count of real degrees of freedom (complex = 2 reals)."""
+    d, C, L, J, E = config.d, config.C, config.L, config.J, config.E
+    return d * C + C + L * (E * C + C + 2 * (C * C + C) + 2 * J * C * C) + C * d + d
 
 
 def count_parameters(params: DsnoParams) -> int:

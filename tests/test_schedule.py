@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from flowop.schedule import NoiseSchedule, coefficients_at, loss_weight, phi
+from flowop.schedule import NoiseSchedule, coefficients_at, loss_weight
+
+
+def phi(sched: NoiseSchedule, t: float, s: float) -> float:
+    """Homogeneous transition scale exp(int_s^t h) = alpha(t)/alpha(s)."""
+    sched._check_time(t)
+    sched._check_time(s)
+    return math.exp(-0.5 * (sched.beta_integral(t) - sched.beta_integral(s)))
 
 
 def test_zero_time_identity(sched):

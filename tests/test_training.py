@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from flowop.operator import DsnoConfig, forward, init_params
 from flowop.schedule import loss_weight
 from flowop.trajectories import generate_dataset, make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, adam_step,
-                             _batch_indices, convergence_order,
-                             eval_trajectory_rmse, grid_weights,
+                             _batch_indices, eval_trajectory_rmse, grid_weights,
                              load_train_checkpoint, lr_at,
                              save_train_checkpoint, sliced_wasserstein, train,
                              weighted_loss)
+
+from checks import convergence_order
 
 
 @pytest.fixture
@@ -155,6 +158,25 @@ def test_train_writes_loss_curve(tmp_path, tiny_dataset):
     assert len(lines) == tc.total_steps + 1
     step, lr, loss = lines[1].split("\t")
     assert int(step) == 0 and float(lr) > 0 and float(loss) > 0
+
+
+def test_failed_loss_write_keeps_previous_file(tmp_path, monkeypatch, tiny_dataset):
+    # loss.tsv is renamed into place: a failed rename leaves the previous
+    # curve byte-identical and no temporary behind
+    result = train(tiny_dataset, tiny_train_config(), TINY_MODEL, out_dir=str(tmp_path))
+    before = (tmp_path / "loss.tsv").read_bytes()
+    assert before == ("step\tlr\tloss\n" + "".join(
+        f"{s}\t{lr:.8g}\t{lo:.10g}\n" for s, lr, lo in result.loss_curve)).encode()
+
+    def fail(*args, **kwargs):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="injected"):
+        train(tiny_dataset, tiny_train_config(total_steps=3, seed=1), TINY_MODEL,
+              out_dir=str(tmp_path))
+    assert (tmp_path / "loss.tsv").read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["loss.tsv"]
 
 
 def _checkpoint_at_step_4(tmp_path, dataset, tc):

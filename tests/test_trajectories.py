@@ -1,9 +1,11 @@
+import json
 import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from flowop import cli
 from flowop.mixture import GaussianMixture, sample_data
 from flowop import trajectories as traj_mod
 from flowop.schedule import coefficients_at
@@ -273,6 +275,81 @@ def test_failed_dataset_write_keeps_previous_file(tmp_path, monkeypatch, sched, 
         ds.save(path)
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["data.bin"]
+
+
+# ------------------------------------------------------------------ seeding
+
+def oracle_x_T(base_seed, N, d):
+    """Record j's noise drawn the per-record way: its own default_rng."""
+    return np.stack([np.random.default_rng(base_seed + j).standard_normal(d)
+                     for j in range(N)])
+
+
+# single records, small seeds, and ranges that cross 2**32, 2**64 (2 -> 3
+# words) and 2**128 (4 -> 5 words, which takes the hash's extra mixing loop)
+SEED_RANGES = [(0, 1), (7, 1), (0, 40), (2**32 - 5, 10), (2**63 - 3, 6), (2**64 - 5, 10),
+               (2**96 - 2, 4), (2**128 - 4, 8), (2**160 + 12345, 3),
+               (2_000_003 * (2**31 - 1) + 1, 5)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("base_seed, N", SEED_RANGES)
+def test_seeded_normals_bit_identical_to_default_rng(base_seed, N, d):
+    got = traj_mod._seeded_normals(base_seed, N, d)
+    assert got.shape == (N, d)
+    assert np.array_equal(got, oracle_x_T(base_seed, N, d))
+
+
+def test_seeded_normals_random_seeds():
+    for base_seed in np.random.default_rng(3).integers(0, 2**63, 100).tolist():
+        assert np.array_equal(traj_mod._seeded_normals(base_seed, 3, 2),
+                              oracle_x_T(base_seed, 3, 2))
+
+
+def test_dataset_subset_regenerates_from_its_seed(sched, bimodal, grid4):
+    # records j..j+k of a set are the set generated from base_seed + j
+    base, j, k = 2**32 - 6, 4, 5
+    full = generate_dataset(bimodal, sched, grid4, N=12, base_seed=base, substeps=4)
+    part = generate_dataset(bimodal, sched, grid4, N=k, base_seed=base + j, substeps=4)
+    assert np.array_equal(full.x_T[j:j + k], part.x_T)
+    assert np.array_equal(full.values[j:j + k], part.values)
+    assert np.array_equal(full.x_T, oracle_x_T(base, 12, 2).astype(np.float32))
+
+
+def test_seeding_guard_rejects_a_wrong_hash(monkeypatch, sched, bimodal, grid4):
+    seed_state = traj_mod._seed_state
+    monkeypatch.setattr(traj_mod, "_seed_state",
+                        lambda base_seed, N: seed_state(base_seed, N) ^ np.uint64(1))
+    with pytest.raises(RuntimeError, match="differs from default_rng"):
+        generate_dataset(bimodal, sched, grid4, N=4, base_seed=5, substeps=2)
+
+
+@pytest.mark.parametrize("base_seed, error", [(-1, ValueError), (2.0, TypeError)])
+def test_seeding_rejects_what_default_rng_rejects(base_seed, error):
+    with pytest.raises(error):
+        traj_mod._seeded_normals(base_seed, 3, 2)
+
+
+def test_seeding_takes_numpy_integers():
+    assert np.array_equal(traj_mod._seeded_normals(np.int64(2**40), 3, 2),
+                          oracle_x_T(2**40, 3, 2))
+
+
+@pytest.mark.parametrize("dataset", [
+    {},                                                   # the default config
+    {"N": 2000, "base_seed": 2_000_003 * (2**31 - 1) + 1},  # the benchmark's gen config
+])
+def test_gen_data_file_identical_with_per_record_seeding(monkeypatch, tmp_path, dataset):
+    def gen(name):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dataset": {**dataset, "path": str(tmp_path / name)},
+                                   "out_dir": str(tmp_path / "run")}))
+        assert cli.run(["gen-data", "--config", str(cfg)]) == 0
+        return (tmp_path / name).read_bytes()
+
+    new = gen("new.bin")
+    monkeypatch.setattr(traj_mod, "_seeded_normals", oracle_x_T)
+    assert gen("oracle.bin") == new
 
 
 def test_dataset_endpoints_match_data_statistics(sched, bimodal, grid4):
