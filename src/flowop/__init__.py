@@ -2,7 +2,7 @@
 Gaussian-mixture diffusion into a one-call Fourier temporal operator."""
 
 from .schedule import NoiseSchedule, ScheduleCoeffs, coefficients_at, loss_weight
-from .mixture import GaussianMixture, default_bimodal, epsilon_hat, marginal_params, sample_data, score
+from .mixture import GaussianMixture, epsilon_hat, marginal_params, sample_data, score
 from .trajectories import (TimeGrid, Trajectory, TrajectoryDataset, generate_dataset,
                            make_time_grid, pf_rhs, solve_trajectory, step_euler,
                            step_exponential, step_heun)
@@ -10,7 +10,7 @@ from .operator import (DsnoConfig, DsnoParams, forward, init_params, load_checkp
                        query_at, save_checkpoint, temporal_conv)
 from .training import (TrainConfig, adam_step, eval_trajectory_rmse,
                        lr_at, sliced_wasserstein, train, weighted_loss)
-from .spectrum import PowerSpectrum, band_fraction, power_spectrum, trajectory_spectrum_report
+from .spectrum import PowerSpectrum, power_spectrum, trajectory_spectrum_report
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

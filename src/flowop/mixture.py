@@ -41,15 +41,6 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
-def default_bimodal() -> GaussianMixture:
-    """The default 2-D task: two tight modes at (+-2, 0)."""
-    return GaussianMixture(
-        weights=np.array([0.5, 0.5]),
-        means=np.array([[2.0, 0.0], [-2.0, 0.0]]),
-        variances=np.array([0.01, 0.01]),
-    )
-
-
 @dataclass(frozen=True)
 class MarginalParams:
     weights: np.ndarray
@@ -76,28 +67,30 @@ def score(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:
     """Gradient of log p_t at x (shape (..., d)): responsibility-weighted
     component scores, with log-sum-exp stabilized responsibilities.
 
-    Runs feature-major: x is copied once to (d, ...), so the sums over
-    the K components and the d coordinates are whole-row ops rather than
-    numpy inner loops of length K or d. They add in sequential order, as
-    numpy does over a trailing axis shorter than 8, so for K, d < 8 the
-    result is bit-identical to the (..., K, d) broadcast form.
+    Runs feature-major: x is copied once to (d, n), n the rows of
+    x.reshape(-1, d), so the sums over the K components and the d
+    coordinates are whole-row ops rather than numpy inner loops of length
+    K or d. They add in sequential order, as numpy does over a trailing
+    axis shorter than 8, so for K, d < 8 the result is bit-identical to
+    the (..., K, d) broadcast form.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (gm.d,):
+        raise ValueError(f"score needs points of dimension {gm.d}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input to score")
     mp = marginal_params(gm, sched, t)
-    tail = (1,) * (x.ndim - 1)                   # broadcast over the batch axes
-    var = mp.vars_t.reshape(mp.vars_t.shape + tail)            # (K, 1...)
-    diff = (np.ascontiguousarray(np.moveaxis(x, -1, 0))
-            - mp.means_t.reshape(mp.means_t.shape + tail))     # (K, d, ...)
-    sq = np.sum(diff * diff, axis=1)                           # (K, ...)
-    log_comp = (np.log(mp.weights).reshape(var.shape)
+    var = mp.vars_t[:, None]                                   # (K, 1)
+    rows = np.ascontiguousarray(x.reshape(-1, gm.d).T)          # (d, n)
+    diff = rows - mp.means_t[:, :, None]                       # (K, d, n)
+    sq = np.sum(diff * diff, axis=1)                           # (K, n)
+    log_comp = (np.log(mp.weights)[:, None]
                 - 0.5 * sq / var
                 - 0.5 * gm.d * np.log(2.0 * np.pi * var))
     r = np.exp(log_comp - np.logaddexp.reduce(log_comp, axis=0))
     np.negative(diff, out=diff)
     diff /= var[:, None]                         # component scores
-    return np.ascontiguousarray(np.moveaxis(np.sum(r[:, None] * diff, axis=0), 0, -1))
+    return np.ascontiguousarray(np.sum(r[:, None] * diff, axis=0).T).reshape(x.shape)
 
 
 def epsilon_hat(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:

@@ -9,15 +9,13 @@ at arbitrary query times.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nnops
 from .nnops import Tensor
-from .trajectories import TimeGrid, atomic_open
+from .trajectories import TimeGrid, read_container, write_container
 
 
 @dataclass(frozen=True)
@@ -230,64 +228,23 @@ def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times) -> np.ndarray
     return _infer(params, x_T, q, query_positions(grid, q))
 
 
-_CKPT_MAGIC = b"FOP1"
+def checkpoint_layout(groups: int):
+    """`read_container` / `write_container` layout of a checkpoint: `groups`
+    copies of the header config's parameter tensors in declaration order,
+    in the dtypes `init_params` gives them (f64, c16 if complex)."""
+    def layout(header: dict) -> list[tuple]:
+        refs = init_params(DsnoConfig(**header["config"]), seed=0).tensors()
+        return [(t.value.dtype.newbyteorder("<"), t.value.shape) for t in refs] * groups
+    return layout
 
 
-def _wire_dtype(a: np.ndarray) -> str:
-    return "<c16" if np.iscomplexobj(a) else "<f8"
-
-
-def _checksum(payload) -> bytes:
-    return hashlib.sha256(payload).digest()[:8]
-
-
-def _write_container(path, header: dict, arrays: list[np.ndarray]) -> None:
-    """Magic, u64 header length, canonical JSON header, every array as f64
-    little-endian (complex interleaved), then the payload's checksum: the
-    first 8 bytes of its sha256. Written through `atomic_open`."""
-    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = b"".join(np.ascontiguousarray(a, dtype=_wire_dtype(a)).tobytes()
-                       for a in arrays)
-    with atomic_open(path) as f:
-        f.write(_CKPT_MAGIC + len(hbytes).to_bytes(8, "little") + hbytes)
-        f.write(payload)
-        f.write(_checksum(payload))
-
-
-def _read_container(path, groups: int) -> tuple[dict, DsnoParams, list[list[np.ndarray]]]:
-    """Parse a `_write_container` file whose payload is `groups` copies of
-    the header config's parameter shapes. Returns the header, the params
-    holding the first group, and the remaining groups; any other size,
-    a truncated file or a checksum mismatch raises ValueError."""
-    with open(path, "rb") as f:
-        raw = memoryview(f.read())
-    if raw[:4] != _CKPT_MAGIC:
-        raise ValueError("not a checkpoint file")
-    hend = 12 + int.from_bytes(raw[4:12], "little")
-    if len(raw) < hend + 8:
-        raise ValueError("checkpoint truncated inside its header")
-    try:
-        header = json.loads(bytes(raw[12:hend]))
-        params = init_params(DsnoConfig(**header["config"]), seed=0)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"bad checkpoint header: {e}") from e
-    refs = [t.value for t in params.tensors()]
-    size = sum(a.nbytes for a in refs)       # f64 and c16, as on disk
-    payload = raw[hend:-8]
-    if len(payload) != groups * size:
-        raise ValueError(f"checkpoint payload has {len(payload)} bytes, expected "
-                         f"{groups} group(s) of {size}")
-    if raw[-8:] != _checksum(payload):
-        raise ValueError("checkpoint payload checksum mismatch")
-    offset, arrays = 0, []
-    for ref in refs * groups:
-        arrays.append(np.frombuffer(payload, _wire_dtype(ref), ref.size, offset)
-                      .reshape(ref.shape).copy())
-        offset += arrays[-1].nbytes
-    for t, a in zip(params.tensors(), arrays):
+def checkpoint_params(header: dict, arrays: list[np.ndarray]) -> DsnoParams:
+    """The params of a checkpoint header's config whose tensors, in
+    declaration order, hold `arrays` (one group)."""
+    params = init_params(DsnoConfig(**header["config"]), seed=0)
+    for t, a in zip(params.tensors(), arrays, strict=True):
         t.value = a
-    n = len(refs)
-    return header, params, [arrays[i:i + n] for i in range(n, len(arrays), n)]
+    return params
 
 
 def save_checkpoint(path, params: DsnoParams, extra: dict | None = None) -> None:
@@ -296,9 +253,10 @@ def save_checkpoint(path, params: DsnoParams, extra: dict | None = None) -> None
     header = {"config": asdict(params.config)}
     if extra:
         header["extra"] = extra
-    _write_container(path, header, [t.value for t in params.tensors()])
+    write_container(path, header, [t.value for t in params.tensors()],
+                    checkpoint_layout(groups=1))
 
 
 def load_checkpoint(path) -> tuple[DsnoParams, dict]:
-    header, params, _ = _read_container(path, groups=1)
-    return params, header.get("extra", {})
+    header, arrays = read_container(path, checkpoint_layout(groups=1))
+    return checkpoint_params(header, arrays), header.get("extra", {})

@@ -35,21 +35,6 @@ def power_spectrum(signal: np.ndarray, period: float = 1.0) -> PowerSpectrum:
     return PowerSpectrum(S=S, modes=np.arange(S.size), period=period, N=N)
 
 
-def band_fraction(spec: PowerSpectrum, j_max: int, exclude_dc: bool = False) -> float:
-    """Fraction of total power carried by modes <= j_max."""
-    if not (0 <= j_max < spec.S.size):
-        raise ValueError("j_max out of range")
-    if exclude_dc:
-        total = spec.S[1:].sum()
-        upto = spec.S[1:j_max + 1].sum()
-    else:
-        total = spec.S.sum()
-        upto = spec.S[:j_max + 1].sum()
-    if total == 0:
-        raise ValueError("all-zero spectrum has no defined band fraction")
-    return float(upto / total)
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     modes: np.ndarray

@@ -10,7 +10,8 @@ from . import operator
 from .nnops import Tensor
 from .operator import DsnoConfig, DsnoParams, forward, forward_loss, init_params
 from .schedule import NoiseSchedule, loss_weight
-from .trajectories import TimeGrid, TrajectoryDataset, atomic_open
+from .trajectories import (TimeGrid, TrajectoryDataset, atomic_open, read_container,
+                           write_container)
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,9 @@ def weighted_loss(pred: np.ndarray, target: np.ndarray, grid: TimeGrid,
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape or pred.shape[-2] != grid.M:
         raise ValueError("prediction/target shape mismatch")
-    if weighting == "uniform":
-        w = np.ones(grid.M)
-    else:
-        if sched is None:
-            raise ValueError("snr_sqrt weighting needs a schedule")
-        w = grid_weights(sched, grid, weighting)
+    if sched is None and weighting != "uniform":
+        raise ValueError("snr_sqrt weighting needs a schedule")
+    w = grid_weights(sched, grid, weighting)
     per_time = np.sum(np.abs(pred - target), axis=-1)        # (..., M)
     nbatch = int(np.prod(pred.shape[:-2], dtype=int))
     return float(np.sum(w * per_time) / (grid.M * max(nbatch, 1)))
@@ -127,14 +125,16 @@ def save_train_checkpoint(path, params: DsnoParams, state: OptimizerState,
     the header's extra holds the step and the train config."""
     header = {"config": asdict(params.config),
               "extra": {"step": state.step, "train": asdict(tc)}}
-    operator._write_container(
-        path, header, [t.value for t in params.tensors()] + state.m + state.v)
+    write_container(path, header, [t.value for t in params.tensors()] + state.m + state.v,
+                    operator.checkpoint_layout(groups=3))
 
 
 def load_train_checkpoint(path) -> tuple[DsnoParams, OptimizerState, dict]:
-    header, params, (m, v) = operator._read_container(path, groups=3)
+    header, arrays = read_container(path, operator.checkpoint_layout(groups=3))
+    n = len(arrays) // 3
     extra = header["extra"]
-    return params, OptimizerState(m=m, v=v, step=extra["step"]), extra
+    return (operator.checkpoint_params(header, arrays[:n]),
+            OptimizerState(m=arrays[n:2 * n], v=arrays[2 * n:], step=extra["step"]), extra)
 
 
 def _check_resume(params: DsnoParams, extra: dict, mc: DsnoConfig,

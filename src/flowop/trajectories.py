@@ -4,11 +4,15 @@ Integration runs backward in time from t_max with Gaussian initial
 conditions, recording states at a fixed supervision grid. The recording
 grid is decoupled from the internal step count so the targets can be far
 more accurate than the supervision resolution. Datasets persist to a
-self-describing little-endian binary file.
+self-describing little-endian binary file; checkpoints to the checksummed
+container defined here.
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -165,6 +169,66 @@ def atomic_open(path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+_CKPT_MAGIC = b"FOP1"
+
+
+def _checksum(payload) -> bytes:
+    return hashlib.sha256(payload).digest()[:8]
+
+
+def write_container(path, header: dict, arrays, layout) -> None:
+    """The checkpoint format: magic `FOP1`, u64 header length, canonical
+    JSON header, each array cast to the (dtype, shape) `layout(header)`
+    gives it, in C order, then the payload's checksum: the first 8 bytes
+    of its sha256. Written through `atomic_open`. An array that does not
+    fit its layout raises ValueError, so `read_container` reads back every
+    file written."""
+    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    parts = []
+    for a, (dtype, shape) in zip(arrays, layout(header), strict=True):
+        if a.shape != shape or not np.can_cast(a.dtype, dtype, "same_kind"):
+            raise ValueError(f"a {a.dtype} array of shape {a.shape} does not fit "
+                             f"the layout's {dtype} {shape}")
+        parts.append(np.ascontiguousarray(a, dtype).tobytes())
+    payload = b"".join(parts)
+    with atomic_open(path) as f:
+        f.write(_CKPT_MAGIC + len(hbytes).to_bytes(8, "little") + hbytes)
+        f.write(payload)
+        f.write(_checksum(payload))
+
+
+def read_container(path, layout) -> tuple[dict, list[np.ndarray]]:
+    """The header and arrays of a `write_container` file, where
+    `layout(header)` gives each array's (dtype, shape). A wrong magic, a
+    truncated or unparsable header, a header the layout rejects, any other
+    payload size or a checksum mismatch raises ValueError."""
+    with open(path, "rb") as f:
+        raw = memoryview(f.read())
+    if raw[:4] != _CKPT_MAGIC:
+        raise ValueError(f"not a checkpoint file: magic {bytes(raw[:4])!r}, "
+                         f"expected {_CKPT_MAGIC!r}")
+    hend = 12 + int.from_bytes(raw[4:12], "little")
+    if len(raw) < hend + 8:
+        raise ValueError("checkpoint truncated inside its header")
+    try:
+        header = json.loads(bytes(raw[12:hend]))
+        shapes = layout(header)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"bad checkpoint header: {e!r}") from e
+    size = sum(dtype.itemsize * math.prod(shape) for dtype, shape in shapes)
+    payload = raw[hend:-8]
+    if len(payload) != size:
+        raise ValueError(f"checkpoint payload has {len(payload)} bytes, expected {size}")
+    if raw[-8:] != _checksum(payload):
+        raise ValueError("checkpoint payload checksum mismatch")
+    offset, arrays = 0, []
+    for dtype, shape in shapes:
+        arrays.append(np.frombuffer(payload, dtype, math.prod(shape), offset)
+                      .reshape(shape).copy())
+        offset += arrays[-1].nbytes
+    return header, arrays
 
 
 _HEADER_FMT = "<4sIIIQdddd"  # magic, version, d, M, N, beta_min, beta_max, t_min, T

@@ -1,7 +1,9 @@
 """Numerical checks shared by several test files: a central-difference
-gradient checker for the nnops tape and a solver convergence-order fit."""
+gradient checker for the nnops tape and a solver convergence-order fit;
+and the default 2-D mixture the tests run on."""
 import numpy as np
 
+from flowop.mixture import GaussianMixture
 from flowop.schedule import NoiseSchedule
 from flowop.trajectories import TimeGrid, solve_trajectory
 
@@ -65,3 +67,12 @@ def convergence_order(solver: str, gm, sched: NoiseSchedule, grid: TimeGrid,
     loge = np.log2(errs)
     slope = -np.polyfit(logn, loge, 1)[0]
     return float(slope), "fitted"
+
+
+def default_bimodal() -> GaussianMixture:
+    """The default 2-D task: two tight modes at (+-2, 0)."""
+    return GaussianMixture(
+        weights=np.array([0.5, 0.5]),
+        means=np.array([[2.0, 0.0], [-2.0, 0.0]]),
+        variances=np.array([0.01, 0.01]),
+    )

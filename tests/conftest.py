@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from flowop import GaussianMixture, NoiseSchedule, default_bimodal, make_time_grid
+from flowop import GaussianMixture, NoiseSchedule, make_time_grid
+
+from checks import default_bimodal
 
 
 @pytest.fixture

