@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,8 +27,9 @@ class ConfigError(ValueError):
     pass
 
 
+# the dataclasses' own defaults; the model's d and M follow the mixture and the grid
 _DEFAULTS = {
-    "schedule": {"beta_min": 0.1, "beta_max": 20.0, "t_max": 1.0, "t_min": 1e-3},
+    "schedule": asdict(NoiseSchedule()),
     "mixture": {
         "weights": [0.5, 0.5],
         "means": [[2.0, 0.0], [-2.0, 0.0]],
@@ -36,10 +38,8 @@ _DEFAULTS = {
     "grid": {"M": 4, "scheme": "quadratic", "s": 1.0, "t_floor": 1e-3},
     "dataset": {"N": 1000, "base_seed": 0, "solver": "heun", "substeps": 64,
                 "path": "trajectories.bin"},
-    "model": {"C": 64, "L": 4, "J": 3, "E": 32, "slope": 0.01},
-    "training": {"batch_size": 256, "total_steps": 20000, "base_lr": 2e-4,
-                 "warmup_steps": 500, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-                 "weighting": "snr_sqrt", "seed": 0},
+    "model": {k: v for k, v in asdict(DsnoConfig()).items() if k not in ("d", "M")},
+    "training": asdict(TrainConfig()),
     "out_dir": "runs/default",
 }
 
@@ -51,7 +51,7 @@ _LEAF_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 def _merge_strict(defaults, given, path=""):
     if not isinstance(given, dict):
-        raise ConfigError(f"config section {path or '<root>'} must be an object")
+        raise ConfigError(f"config section {path[:-1] or '<root>'} must be an object")
     out = {}
     for key in given:
         if key not in defaults:
@@ -172,14 +172,14 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     return {"model_path": _model_path(cfg), "final_loss": final}
 
 
-def _sample_endpoints(cfg: ExperimentConfig, n: int, seed: int) -> np.ndarray:
-    params, _ = load_checkpoint(_model_path(cfg))
+def _sample_endpoints(params, cfg: ExperimentConfig, n: int, seed: int) -> np.ndarray:
     x_T = np.random.default_rng(seed).standard_normal((n, cfg.mixture.d))
     return forward(params, x_T, cfg.grid)[:, -1, :]
 
 
 def cmd_sample(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    samples = _sample_endpoints(cfg, n, seed)
+    params, _ = load_checkpoint(_model_path(cfg))
+    samples = _sample_endpoints(params, cfg, n, seed)
     path = os.path.join(cfg.out_dir, "samples.tsv")
     _write_tsv(path, [f"x{i}" for i in range(samples.shape[1])],
                ([f"{v:.8g}" for v in row] for row in samples))
@@ -197,7 +197,7 @@ def cmd_eval(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     per_time, pooled = eval_trajectory_rmse(params, heldout)
     _write_tsv(os.path.join(cfg.out_dir, "eval.tsv"), ("time", "rmse"),
                ((f"{t:.8g}", f"{r:.10g}") for t, r in zip(cfg.grid.times, per_time)))
-    model_samples = _sample_endpoints(cfg, n, seed + 1)
+    model_samples = _sample_endpoints(params, cfg, n, seed + 1)
     data_samples = sample_data(cfg.mixture, n, seed + 2)
     sw = sliced_wasserstein(model_samples, data_samples, n_proj=128, seed=seed + 3)
     print(f"pooled trajectory RMSE {pooled:.6g}, sliced-Wasserstein {sw:.6g}")

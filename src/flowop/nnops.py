@@ -66,8 +66,6 @@ class Tensor:
             if node._backward is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None:
-                    continue
                 parent.grad = g if parent.grad is None else parent.grad + g
 
 

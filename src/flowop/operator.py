@@ -118,15 +118,14 @@ def _embed_matrix(times: np.ndarray, E: int) -> np.ndarray:
     return np.stack([nnops.time_embedding(t, E) for t in times])
 
 
-def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray,
-          matrices: bool) -> list[tuple]:
-    """What each residual block needs that does not depend on the rows: its
-    time-embedding rows (Q, C) and, with `matrices`, its prebuilt
-    `nnops.spectral_matrix` (else None)."""
+def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray) -> list[tuple]:
+    """What each residual block needs that does not depend on the rows, in
+    training and inference alike: its time-embedding rows (Q, C) and its
+    `nnops.spectral_matrix`, through which the tape records no gradient."""
     cfg = params.config
     emb_t = nnops.param(_embed_matrix(times, cfg.E))
     return [(nnops.affine_pointwise(blk.emb_W, blk.emb_b, emb_t),
-             nnops.spectral_matrix(blk.kernel, positions, cfg.M) if matrices else None)
+             nnops.spectral_matrix(blk.kernel, positions, cfg.M))
             for blk in params.blocks]
 
 
@@ -183,7 +182,7 @@ def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) ->
     # the heap and keep it there instead of page-faulting it in again
     work = np.empty((3, -(-n // nblocks), Q, cfg.C))
     with nnops.no_record():
-        plan = _plan(params, times, positions, matrices=True)
+        plan = _plan(params, times, positions)
         for lo, hi in zip(edges, edges[1:]):
             _forward_graph(params, rows[lo:hi], positions, plan,
                            [w[:hi - lo] for w in work], y[lo:hi])
@@ -198,7 +197,7 @@ def forward(params: DsnoParams, x_T, grid: TimeGrid) -> np.ndarray:
 def forward_loss(params: DsnoParams, x_T, grid: TimeGrid, target, weights) -> Tensor:
     """Differentiable weighted l1 training loss for a batch."""
     positions = np.arange(params.config.M, dtype=float)
-    plan = _plan(params, grid.times, positions, matrices=False)
+    plan = _plan(params, grid.times, positions)
     y = _forward_graph(params, np.asarray(x_T, dtype=float), positions, plan)
     return nnops.weighted_l1(y, target, weights)
 

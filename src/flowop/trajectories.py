@@ -171,44 +171,46 @@ def atomic_open(path):
         raise
 
 
-_CKPT_MAGIC = b"FOP1"
+_CKPT_MAGIC = b"FOP2"
 
 
-def _checksum(payload) -> bytes:
-    return hashlib.sha256(payload).digest()[:8]
+def _checksum(data) -> bytes:
+    return hashlib.sha256(data).digest()[:8]
 
 
 def write_container(path, header: dict, arrays, layout) -> None:
-    """The checkpoint format: magic `FOP1`, u64 header length, canonical
+    """The checkpoint format: magic `FOP2`, u64 header length, canonical
     JSON header, each array cast to the (dtype, shape) `layout(header)`
-    gives it, in C order, then the payload's checksum: the first 8 bytes
-    of its sha256. Written through `atomic_open`. An array that does not
-    fit its layout raises ValueError, so `read_container` reads back every
-    file written."""
+    gives it, in C order, then the checksum of everything before it: the
+    first 8 bytes of its sha256. Written through `atomic_open`. An array
+    that does not fit its layout raises ValueError, so `read_container`
+    reads back every file written."""
     hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    parts = []
+    parts = [_CKPT_MAGIC, len(hbytes).to_bytes(8, "little"), hbytes]
     for a, (dtype, shape) in zip(arrays, layout(header), strict=True):
         if a.shape != shape or not np.can_cast(a.dtype, dtype, "same_kind"):
             raise ValueError(f"a {a.dtype} array of shape {a.shape} does not fit "
                              f"the layout's {dtype} {shape}")
         parts.append(np.ascontiguousarray(a, dtype).tobytes())
-    payload = b"".join(parts)
+    data = b"".join(parts)
     with atomic_open(path) as f:
-        f.write(_CKPT_MAGIC + len(hbytes).to_bytes(8, "little") + hbytes)
-        f.write(payload)
-        f.write(_checksum(payload))
+        f.write(data)
+        f.write(_checksum(data))
 
 
 def read_container(path, layout) -> tuple[dict, list[np.ndarray]]:
     """The header and arrays of a `write_container` file, where
-    `layout(header)` gives each array's (dtype, shape). A wrong magic, a
-    truncated or unparsable header, a header the layout rejects, any other
-    payload size or a checksum mismatch raises ValueError."""
+    `layout(header)` gives each array's (dtype, shape). A wrong magic or
+    checksum (checked before the header is parsed), a truncated or bad
+    header, a header the layout rejects or another payload size raises
+    ValueError."""
     with open(path, "rb") as f:
         raw = memoryview(f.read())
     if raw[:4] != _CKPT_MAGIC:
         raise ValueError(f"not a checkpoint file: magic {bytes(raw[:4])!r}, "
                          f"expected {_CKPT_MAGIC!r}")
+    if len(raw) < 20 or raw[-8:] != _checksum(raw[:-8]):
+        raise ValueError("checkpoint checksum mismatch or truncated file")
     hend = 12 + int.from_bytes(raw[4:12], "little")
     if len(raw) < hend + 8:
         raise ValueError("checkpoint truncated inside its header")
@@ -221,8 +223,6 @@ def read_container(path, layout) -> tuple[dict, list[np.ndarray]]:
     payload = raw[hend:-8]
     if len(payload) != size:
         raise ValueError(f"checkpoint payload has {len(payload)} bytes, expected {size}")
-    if raw[-8:] != _checksum(payload):
-        raise ValueError("checkpoint payload checksum mismatch")
     offset, arrays = 0, []
     for dtype, shape in shapes:
         arrays.append(np.frombuffer(payload, dtype, math.prod(shape), offset)

@@ -136,6 +136,16 @@ def test_cli_round_trip_pipeline(tmp_path, capsys):
     assert "trained 8 steps" in out
 
 
+def test_eval_loads_the_model_once(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path)
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    assert run(["train", "--config", str(cfg_path)]) == 0
+    load, paths = cli.load_checkpoint, []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: paths.append(path) or load(path))
+    assert run(["eval", "--config", str(cfg_path), "--n", "16"]) == 0
+    assert paths == [str(tmp_path / "run" / "model.bin")]
+
+
 def test_cli_steps_and_out_overrides(tmp_path):
     cfg_path = write_config(tmp_path)
     assert run(["gen-data", "--config", str(cfg_path)]) == 0
@@ -275,6 +285,7 @@ def _only_config_left(tmp_path):
     ({"dataset": {"N": 0}}, "config error: dataset: N"),
     ({"dataset": {"base_seed": -5}}, "config error: dataset: base_seed must be >= 0"),
     ({"training": {"seed": -1}}, "config error: training: seed must be >= 0"),
+    ({"model": 5}, "config error: config section model must be an object"),
 ])
 @pytest.mark.parametrize("command", ["gen-data", "eval"])
 def test_cli_bad_section_exits_2_before_any_write(tmp_path, capsys, raw, match, command):

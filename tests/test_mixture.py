@@ -52,11 +52,17 @@ def _random_mixture(K: int, d: int, seed: int) -> GaussianMixture:
                            variances=rng.uniform(0.01, 1.0, K))
 
 
-def test_validation():
+def test_validation(bimodal):
     with pytest.raises(ValueError):
         GaussianMixture(weights=[0.6, 0.6], means=[[0.0], [1.0]], variances=[1.0, 1.0])
     with pytest.raises(ValueError):
         GaussianMixture(weights=[1.0], means=[[0.0]], variances=[0.0])
+    with pytest.raises(ValueError, match=r"means \(K,d\)"):
+        GaussianMixture(weights=[1.0], means=[0.0, 0.0], variances=[1.0])
+    with pytest.raises(ValueError, match="component counts disagree"):
+        GaussianMixture(weights=[0.5, 0.5], means=[[0.0]], variances=[1.0, 1.0])
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_data(bimodal, 0, seed=0)
 
 
 def test_marginal_standard_normal_is_invariant(sched, standard_normal_2d):

@@ -269,6 +269,9 @@ def test_weighted_l1_value():
     # (1/2) * (2*|1| + 0.5*|2|) = 1.5
     out = weighted_l1(pred, target, w)
     assert out.value == pytest.approx(1.5)
+    for bad_target, bad_w in ((target[:1], w), (target, w[:1])):
+        with pytest.raises(ValueError, match="loss shape mismatch"):
+            weighted_l1(pred, bad_target, bad_w)
 
 
 def test_weighted_l1_batch_average():

@@ -143,6 +143,8 @@ def test_forward_shapes(grid4):
     assert single.shape == (4, 2)
     assert batch.shape == (5, 4, 2)
     assert np.allclose(batch[0], single)
+    with pytest.raises(ValueError, match=r"x_T must be \(d,\) or \(n, d\)"):
+        forward(p, np.zeros((5, 1, 2)), grid4)
 
 
 def test_forward_deterministic(grid4):
@@ -304,7 +306,7 @@ def test_query_midpoint_is_trigonometric_interpolant(grid4):
 def unblocked_inference(params, x, times, positions):
     """The evaluator's oracle: one `_forward_graph` pass over all rows under
     no_record(), with no work arrays and no prebuilt spectral matrices."""
-    plan = operator._plan(params, times, positions, matrices=False)
+    plan = [(emb, None) for emb, _ in operator._plan(params, times, positions)]
     with no_record():
         y = operator._forward_graph(params, np.atleast_2d(x), positions, plan).value
     return y[0] if np.ndim(x) == 1 else y
@@ -437,13 +439,13 @@ def _numbered_checkpoints(tmp_path):
 
 
 def test_checkpoint_bytes_pinned(tmp_path):
-    # the on-disk format of both checkpoint kinds, byte for byte
-    import hashlib
+    # the on-disk format of both checkpoint kinds, byte for byte; FOP2
+    # differs from FOP1 only in its magic and in the checksum's span
     model, trained = _numbered_checkpoints(tmp_path)
     assert hashlib.sha256(model.read_bytes()).hexdigest() == (
-        "0cd7b481d968c48ea7dfa3af46372a5c317e1ba59f5d38038e72ac36946bd20e")
+        "1e61c03353347bd34812249e8c96d8b5c4c44a38cdd3ea03aeb6c55e9f0f6c26")
     assert hashlib.sha256(trained.read_bytes()).hexdigest() == (
-        "ecc06589a6f7538de069b15cf7f93bfab82bdfedc6f74570df0e8dac9861aaca")
+        "3ee63dbb0ccadc0c85556d551f81e49f38ec29ef794e1b7f49cc0c33a1cb400a")
 
 
 def _small_dataset(tmp_path):
@@ -463,6 +465,11 @@ def test_checkpoint_truncated_at_every_length(tmp_path):
             for load in (load_checkpoint, load_train_checkpoint, TrajectoryDataset.load):
                 with pytest.raises(ValueError):
                     load(cut)
+    # a header length that runs past the end, under a valid checksum
+    cut.write_bytes(_with_checksum(b"FOP2" + (100).to_bytes(8, "little") + b"{}"))
+    for load in (load_checkpoint, load_train_checkpoint):
+        with pytest.raises(ValueError, match="truncated inside its header"):
+            load(cut)
 
 
 def test_checkpoint_kinds_not_interchangeable(tmp_path):
@@ -482,16 +489,36 @@ def test_checkpoint_kinds_not_interchangeable(tmp_path):
             TrajectoryDataset.load(path)
 
 
+def _with_checksum(body: bytes) -> bytes:
+    return body + hashlib.sha256(body).digest()[:8]
+
+
 @pytest.mark.parametrize("header", [b"{}", b'{"config": {"q": 2}}', b"[]", b"7", b"{"])
 def test_checkpoint_bad_header_refused(tmp_path, header):
     # a header without a usable config raises ValueError, not the
-    # KeyError or TypeError of building the config from it
-    import hashlib
+    # KeyError or TypeError of building the config from it; the files carry
+    # a valid checksum, so they reach the header parse
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"FOP1" + len(header).to_bytes(8, "little") + header
-                     + hashlib.sha256(b"").digest()[:8])
+    path.write_bytes(_with_checksum(b"FOP2" + len(header).to_bytes(8, "little") + header))
     for load in (load_checkpoint, load_train_checkpoint):
         with pytest.raises(ValueError, match="bad checkpoint header"):
+            load(path)
+
+
+def test_checkpoint_header_under_checksum(tmp_path):
+    # an edit to the header that still parses is refused, and so is a file
+    # of the previous format, FOP1, whose checksum covered the payload only
+    model, trained = _numbered_checkpoints(tmp_path)
+    for path, load in ((model, load_checkpoint), (trained, load_train_checkpoint)):
+        raw = path.read_bytes()
+        assert raw.count(b'"slope":0.01') == 1
+        path.write_bytes(raw.replace(b'"slope":0.01', b'"slope":0.02'))
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            load(path)
+        body = raw[4:-8]
+        payload = body[8 + int.from_bytes(body[:8], "little"):]
+        path.write_bytes(b"FOP1" + body + hashlib.sha256(payload).digest()[:8])
+        with pytest.raises(ValueError, match="magic b'FOP1', expected b'FOP2'"):
             load(path)
 
 

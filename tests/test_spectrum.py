@@ -48,11 +48,13 @@ def test_period_scaling():
     assert np.allclose(a.S, 2.0 * b.S)
 
 
-def test_power_spectrum_validation():
+def test_power_spectrum_validation(sched, bimodal):
     with pytest.raises(ValueError):
         power_spectrum(np.array([1.0]))
     with pytest.raises(ValueError):
         power_spectrum(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="n_traj must be >= 1"):
+        trajectory_spectrum_report(bimodal, sched, n_traj=0)
 
 
 def test_band_fraction_cosine_pair():

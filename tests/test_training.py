@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -59,6 +60,10 @@ def test_weighted_loss_batch_average(sched, grid4):
 def test_weighted_loss_needs_schedule(grid4):
     with pytest.raises(ValueError):
         weighted_loss(np.zeros((4, 2)), np.zeros((4, 2)), grid4, "snr_sqrt")
+    for pred, target in ((np.zeros((4, 2)), np.zeros((4, 3))),
+                         (np.zeros((3, 2)), np.zeros((3, 2)))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            weighted_loss(pred, target, grid4, "uniform")
 
 
 # --------------------------------------------------------------- optimizer
@@ -91,17 +96,21 @@ def test_adam_first_step_is_signed_lr():
 
 
 def test_adam_complex_updates_parts_independently():
-    pc = param(np.array([1.0 + 1.0j]))
-    pr = param(np.array([1.0]))
-    pi = param(np.array([1.0]))
-    g = 0.25 - 0.5j
+    # a complex tensor's update is real Adam on its parts, bit for bit
+    rng = np.random.default_rng(7)
+    shape = (3, 8, 8)
+    pc = param(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    pr, pi = param(pc.value.real.copy()), param(pc.value.imag.copy())
     st_c = OptimizerState.fresh([pc])
     st_r = OptimizerState.fresh([pr, pi])
-    for _ in range(3):
-        adam_step([pc], [np.array([g])], st_c, lr=0.05)
-        adam_step([pr, pi], [np.array([g.real]), np.array([g.imag])], st_r, lr=0.05)
-    assert pc.value[0].real == pytest.approx(pr.value[0], rel=1e-14)
-    assert pc.value[0].imag == pytest.approx(pi.value[0], rel=1e-14)
+    for _ in range(20):
+        # transposed, as mode_multiply's kernel gradient is
+        g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).transpose(0, 2, 1)
+        adam_step([pc], [g], st_c, lr=0.05)
+        adam_step([pr, pi], [g.real.copy(), g.imag.copy()], st_r, lr=0.05)
+    assert pc.value.dtype == st_c.m[0].dtype == st_c.v[0].dtype == np.complex128
+    assert np.array_equal(pc.value.real, pr.value)
+    assert np.array_equal(pc.value.imag, pi.value)
 
 
 def test_adam_rejects_non_finite_gradient():
@@ -146,8 +155,19 @@ def test_train_deterministic(tiny_dataset):
 
 
 def test_train_rejects_mismatched_model(tiny_dataset):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid M=4 != model M=2"):
         train(tiny_dataset, tiny_train_config(), DsnoConfig(d=2, C=8, L=1, J=2, M=2, E=8))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        train(tiny_dataset, tiny_train_config(), DsnoConfig(d=3, C=8, L=1, J=3, M=4, E=8))
+    p = init_params(DsnoConfig(d=2, C=8, L=1, J=2, M=2, E=8), seed=0)
+    with pytest.raises(ValueError, match="grid length mismatch"):
+        eval_trajectory_rmse(p, tiny_dataset)
+
+
+def test_train_rejects_non_finite_loss(tiny_dataset):
+    bad = dataclasses.replace(tiny_dataset, values=np.full_like(tiny_dataset.values, np.nan))
+    with pytest.raises(FloatingPointError, match="non-finite loss at step 0"):
+        train(bad, tiny_train_config(), TINY_MODEL)
 
 
 def test_train_writes_loss_curve(tmp_path, tiny_dataset):

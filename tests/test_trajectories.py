@@ -9,7 +9,7 @@ from flowop import cli
 from flowop.mixture import GaussianMixture, sample_data
 from flowop import trajectories as traj_mod
 from flowop.schedule import coefficients_at
-from flowop.trajectories import (IntegrationDiverged, TrajectoryDataset,
+from flowop.trajectories import (IntegrationDiverged, TimeGrid, TrajectoryDataset,
                                  generate_dataset, make_time_grid, pf_rhs,
                                  solve_trajectory, step_euler, step_exponential,
                                  step_heun)
@@ -49,6 +49,10 @@ def test_grid_rejects_bad_args():
         make_time_grid(4, "uniform", 0.5, 0.5)
     with pytest.raises(ValueError):
         make_time_grid(4, "cubic", 1.0, 1e-3)
+    for times, match in (([], "at least one time"), ([0.5, 0.5], "strictly decreasing"),
+                         ([0.5, 0.0], "positive")):
+        with pytest.raises(ValueError, match=match):
+            TimeGrid(times=np.array(times))
 
 
 def test_grid_descending_in_range(sched):
@@ -241,6 +245,12 @@ def test_dataset_header_layout(tmp_path, sched, bimodal, grid4):
     assert (d, M, N) == (2, 4, 2)
     header_len = 4 + 4 + 4 + 4 + 8 + 4 * 8 + M * 8
     assert len(raw) == header_len + N * (d + M * d) * 4
+    # another version is refused; a set holds at least one record
+    path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(ValueError, match="unsupported dataset version 2"):
+        TrajectoryDataset.load(path)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        generate_dataset(bimodal, sched, grid4, N=0, base_seed=0, substeps=4)
 
 
 def test_dataset_truncation_detected(tmp_path, sched, bimodal, grid4):
