@@ -181,8 +181,12 @@ def cmd_sample(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     params, _ = load_checkpoint(_model_path(cfg))
     samples = _sample_endpoints(params, cfg, n, seed)
     path = os.path.join(cfg.out_dir, "samples.tsv")
-    _write_tsv(path, [f"x{i}" for i in range(samples.shape[1])],
-               ([f"{v:.8g}" for v in row] for row in samples))
+    rows, d = samples.shape
+    with atomic_open(path) as f:
+        f.write(("\t".join(f"x{i}" for i in range(d)) + "\n").encode())
+        # one %-format pass over every value; "%.8g" % v is f"{v:.8g}"
+        f.write(((("\t".join(["%.8g"] * d) + "\n") * rows)
+                 % tuple(samples.ravel().tolist())).encode())
     print(f"wrote {n} one-call samples to {path}")
     return {"samples_path": path, "n_samples": n}
 

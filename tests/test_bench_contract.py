@@ -79,6 +79,24 @@ def test_teacher_calls_score_384_times(monkeypatch):
     assert calls[0] == 3 * 64 * 2 == 384
 
 
+def test_exponential_teacher_calls_score_192_times(monkeypatch):
+    # the exponential solver reaches score through mixture.epsilon_hat, one
+    # call per step, so mixture.score_calls counts 3 segments x 64 steps
+    from flowop import mixture, trajectories
+    from flowop.cli import ExperimentConfig
+    cfg = ExperimentConfig({})
+    calls = [0]
+
+    def counted(*args, fn=mixture.score):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(mixture, "score", counted)
+    trajectories.solve_trajectory(cfg.mixture, cfg.sched, np.zeros((4, cfg.mixture.d)),
+                                  cfg.grid, solver="exponential", substeps=64)
+    assert calls[0] == 3 * 64 == 192
+
+
 def test_traced_methods_keep_their_shape(tmp_path):
     # spans.install also wraps three methods, Tensor.backward,
     # TrajectoryDataset.save (its path the second positional argument) and

@@ -344,7 +344,7 @@ def test_failed_cli_write_keeps_previous_files(tmp_path, monkeypatch, failing):
     before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
 
     if failing == "partway":
-        # the third row cannot be formatted, after the header and two rows
+        # the third row cannot be formatted, after the header is written
         rows = np.array([[1.0, 2.0], [3.0, 4.0], ["x", 5.0]], dtype=object)
         monkeypatch.setattr(cli, "_sample_endpoints", lambda *args: rows)
     else:
@@ -353,6 +353,23 @@ def test_failed_cli_write_keeps_previous_files(tmp_path, monkeypatch, failing):
         monkeypatch.setattr(os, "replace", fail)
     assert run(["sample", "--config", str(cfg_path), "--n", "8", "--seed", "5"]) == 1
     assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_samples_tsv_bytes_match_per_value_format(tmp_path, monkeypatch, d):
+    # samples.tsv is formatted in one pass; each cell must read as
+    # format(v, ".8g") would write it, at the edges of float formatting
+    values = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 123456789.0, 1e22, -1e22,
+              0.1, 1 / 3, 1e-5, 12345678.9, 1e16, float("inf"), float("nan")]
+    samples = np.array(values * d).reshape(-1, d)
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: (None, None))
+    monkeypatch.setattr(cli, "_sample_endpoints", lambda *args: samples)
+    cfg = parse_config(write_config(tmp_path))
+    os.makedirs(cfg.out_dir)
+    cli.cmd_sample(cfg, samples.shape[0], 0)
+    want = "\t".join(f"x{i}" for i in range(d)) + "\n" + "".join(
+        "\t".join(format(v, ".8g") for v in row) + "\n" for row in samples.tolist())
+    assert (tmp_path / "run" / "samples.tsv").read_bytes() == want.encode()
 
 
 def test_cli_flags_match_the_same_values_in_the_file(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,12 +163,12 @@ def test_responsibilities_sum_to_one(sched, bimodal):
         assert abs(r.sum() - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("K", [1, 2, 3])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
 def test_score_bit_identical_to_oracle(sched, K, d):
     gm = _random_mixture(K, d, seed=10 * K + d)
     rng = np.random.default_rng(K * d)
-    for shape in [(d,), (50, d), (2, 3, d)]:
+    for shape in [(d,), (50, d), (2, 3, d), (4096, d)]:
         near = rng.uniform(-4, 4, shape)
         far = rng.choice([-200.0, 200.0], shape)    # densities underflow here
         for x in (near, far):
@@ -174,6 +176,21 @@ def test_score_bit_identical_to_oracle(sched, K, d):
                 got = score(gm, sched, x, t)
                 assert got.shape == x.shape and got.flags.c_contiguous
                 assert np.array_equal(got, score_oracle(gm, sched, x, t))
+
+
+def test_score_allocates_no_second_component_array(sched, bimodal):
+    # past its one (K, d, n) array of differences, score builds everything
+    # in place or in (K, n) and (n, d) arrays; at 4096 rows a second
+    # (K, d, n) array is 128 KiB, glibc's mmap threshold, and page-faults
+    x = np.random.default_rng(0).standard_normal((4096, bimodal.d))
+    K, d = bimodal.means.shape
+    tracemalloc.start()
+    try:
+        score(bimodal, sched, x, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * K * d * x.shape[0] * 8
 
 
 def _with_oracle_score(monkeypatch):

@@ -95,6 +95,28 @@ def test_steps_fix_zero_field():
     assert np.array_equal(step_heun(rhs, x, 0.9, 0.5), x)
 
 
+def test_score_and_steps_leave_x_unchanged(sched, bimodal):
+    # score builds its result in place, so nothing on the way may write
+    # into the caller's state; an rhs may return its own input, so the
+    # explicit steps must not update rhs's result in place either
+    from flowop.mixture import epsilon_hat, score
+    x = np.random.default_rng(3).standard_normal((64, 2))
+    keep = x.copy()
+    rhs = lambda y, t: pf_rhs(bimodal, sched, y, t)
+    identity = lambda y, t: y
+    for call in (lambda: score(bimodal, sched, x, 0.5),
+                 lambda: epsilon_hat(bimodal, sched, x, 0.5),
+                 lambda: pf_rhs(bimodal, sched, x, 0.5),
+                 lambda: step_euler(rhs, x, 0.7, 0.5),
+                 lambda: step_heun(rhs, x, 0.7, 0.5),
+                 lambda: step_exponential(bimodal, sched, x, 0.7, 0.5),
+                 lambda: step_euler(identity, x, 0.7, 0.5),
+                 lambda: step_heun(identity, x, 0.7, 0.5)):
+        out = call()
+        assert np.array_equal(x, keep)
+        assert not np.shares_memory(out, x)
+
+
 def test_zero_length_step(sched, bimodal):
     rhs = lambda x, t: pf_rhs(bimodal, sched, x, t)
     x = np.array([0.3, -0.2])
