@@ -2,10 +2,10 @@
 
 A small reverse-mode tape over numpy arrays, with exactly the primitives
 the operator network needs: pointwise affines, leaky ReLU, truncated
-temporal DFTs with arbitrary-position evaluation, complex per-mode kernel
+temporal DFTs with arbitrary-position evaluation, per-mode kernel
 products, the spectral convolution built from them, and a weighted
-l1 loss. Complex tensors carry gradients in the dL/dRe + i*dL/dIm
-convention. Everything runs in double precision.
+l1 loss. Every tensor is float64: a spectral kernel holds interleaved
+(Re, Im) pairs, and mode coefficients hold [Re | Im] columns.
 """
 from __future__ import annotations
 
@@ -162,18 +162,6 @@ def _re_im_rows(Z: np.ndarray) -> np.ndarray:
     return np.stack([Z.real, Z.imag], axis=1).reshape(2 * Z.shape[0], *Z.shape[1:])
 
 
-def _re_im_cols(Z: np.ndarray) -> np.ndarray:
-    """(..., C) complex -> (..., 2C) real: Re | Im along the last axis."""
-    return np.concatenate([Z.real, Z.imag], axis=-1)
-
-
-def _from_re_im_cols(X: np.ndarray) -> np.ndarray:
-    """Inverse of _re_im_cols; the parts are copied exactly."""
-    out = np.empty((*X.shape[:-1], X.shape[-1] // 2), dtype=complex)
-    out.real, out.imag = np.split(X, 2, axis=-1)
-    return out
-
-
 def _dft_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
     """Forward basis F[j, i] = (M/Q) exp(-2i*pi*j*q_i/M) over index positions q_i.
 
@@ -188,50 +176,49 @@ def _dft_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
 
 def dft_at_positions(u: Tensor, J: int, positions, M: int) -> Tensor:
     """Truncated forward transform of real (..., Q, C) features sampled at
-    the given index positions of an M-point grid; returns (..., J, C)."""
+    index positions of an M-point grid: (..., J, 2C) [Re | Im] mode columns."""
     Fs = _re_im_rows(_dft_basis(J, positions, M))             # (2J, Q)
     uv = u.value
     Q, C = uv.shape[-2:]
     y = (Fs @ uv.reshape(-1, Q, C)).reshape(*uv.shape[:-2], J, 2 * C)
 
     def bw(g):
-        gy = _re_im_cols(g).reshape(-1, 2 * J, C)
-        return ((Fs.T @ gy).reshape(uv.shape),)
+        return ((Fs.T @ g.reshape(-1, 2 * J, C)).reshape(uv.shape),)
 
-    return Tensor(_from_re_im_cols(y), (u,), bw)
+    return Tensor(y, (u,), bw)
 
 
 def _mode_blocks(Rv: np.ndarray) -> np.ndarray:
-    """(J, K, C) complex kernel -> (J, 2C, 2K) real blocks
-    W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]], which map the real
-    pair (Re u_hat_j | Im u_hat_j) of mode j to (Re out_j | Im out_j)."""
-    Rt = Rv.transpose(0, 2, 1)                                # (J, C, K)
-    return np.block([[Rt.real, Rt.imag], [-Rt.imag, Rt.real]])
+    """(J, K, 2C) kernel of (Re, Im) pairs -> (J, 2C, 2K) real blocks
+    W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]], which map the
+    columns (Re u_hat_j | Im u_hat_j) of mode j to (Re out_j | Im out_j)."""
+    re, im = Rv[..., 0::2].transpose(0, 2, 1), Rv[..., 1::2].transpose(0, 2, 1)
+    return np.block([[re, im], [-im, re]])
 
 
 def mode_multiply(R: Tensor, u_hat: Tensor, matrix=None) -> Tensor:
-    """Per-mode complex matrix-vector product: out[j,k] = sum_l R[j,k,l] u_hat[j,l].
-    `matrix` is R's prebuilt `_mode_blocks`, if the caller has it."""
-    if R.value.shape[0] != u_hat.value.shape[-2] or R.value.shape[2] != u_hat.value.shape[-1]:
-        raise ValueError("kernel/coefficient shape mismatch")
+    """Per-mode product out[j,k] = sum_l R[j,k,l] u_hat[j,l] of a (J, K, 2C)
+    kernel of (Re, Im) pairs and (..., J, 2C) [Re | Im] columns: (..., J, 2K)
+    columns. `matrix` is R's prebuilt `_mode_blocks`, if the caller has it."""
     uv = u_hat.value
-    J, K, C = R.value.shape
+    J, K, C2 = R.value.shape
+    if (J, C2) != uv.shape[-2:] or C2 % 2:
+        raise ValueError("kernel/coefficient shape mismatch")
     W = _mode_blocks(R.value) if matrix is None else matrix
-    x = _re_im_cols(uv).reshape(-1, J, 2 * C)
+    x = uv.reshape(-1, J, C2)
     y = np.empty((x.shape[0], J, 2 * K))
     np.matmul(x.transpose(1, 0, 2), W, out=y.transpose(1, 0, 2))
 
     def bw(g):
-        gy = _re_im_cols(g).reshape(-1, J, 2 * K).transpose(1, 0, 2)
+        gy = g.reshape(-1, J, 2 * K).transpose(1, 0, 2)
         gx = np.empty_like(x)
         np.matmul(gy, W.transpose(0, 2, 1), out=gx.transpose(1, 0, 2))
-        gW = x.transpose(1, 2, 0) @ gy                        # (J, 2C, 2K)
-        gRe = gW[:, :C, :K] + gW[:, C:, K:]
-        gIm = gW[:, :C, K:] - gW[:, C:, :K]
-        gu = _from_re_im_cols(gx).reshape(uv.shape)
-        return (gRe + 1j * gIm).transpose(0, 2, 1), gu
+        gW = (x.transpose(1, 2, 0) @ gy).reshape(J, 2, -1, 2, K)  # (J, 2, C, 2, K)
+        gR = np.stack([gW[:, 0, :, 0] + gW[:, 1, :, 1],            # grad of Re R^T
+                       gW[:, 0, :, 1] - gW[:, 1, :, 0]], axis=-1)  # grad of Im R^T
+        return gR.transpose(0, 2, 1, 3).reshape(R.value.shape), gx.reshape(uv.shape)
 
-    return Tensor(_from_re_im_cols(y).reshape(*uv.shape[:-1], K), (R, u_hat), bw)
+    return Tensor(y.reshape(*uv.shape[:-1], 2 * K), (R, u_hat), bw)
 
 
 def _idft_basis(J: int, M: int, queries: np.ndarray) -> np.ndarray:
@@ -246,19 +233,18 @@ def _idft_basis(J: int, M: int, queries: np.ndarray) -> np.ndarray:
 
 
 def idft_at(u_hat: Tensor, M: int, queries, out=None) -> Tensor:
-    """Real trigonometric interpolant of one-sided modes at (fractional)
-    index positions; at the full integer grid with maximal J this is the
-    exact inverse DFT."""
+    """Real trigonometric interpolant of one-sided modes, given as (..., J, 2K)
+    [Re | Im] columns, at (fractional) index positions: (..., Q, K). At the
+    full integer grid with maximal J this is the exact inverse DFT."""
     uv = u_hat.value
-    J, K = uv.shape[-2:]
+    J, K = uv.shape[-2], uv.shape[-1] // 2
     Bs = _re_im_rows(np.conj(_idft_basis(J, M, queries)))     # (2J, Q)
     Q = Bs.shape[1]
     out = _result(out, (*uv.shape[:-2], Q, K), float)
-    np.matmul(Bs.T, _re_im_cols(uv).reshape(-1, 2 * J, K), out=out.reshape(-1, Q, K))
+    np.matmul(Bs.T, uv.reshape(-1, 2 * J, K), out=out.reshape(-1, Q, K))
 
     def bw(g):
-        gy = (Bs @ g.reshape(-1, Q, K)).reshape(*uv.shape[:-2], J, 2 * K)
-        return (_from_re_im_cols(gy),)
+        return ((Bs @ g.reshape(-1, Q, K)).reshape(uv.shape),)
 
     return Tensor(out, (u_hat,), bw)
 
@@ -283,10 +269,11 @@ def _pair_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
 
 
 def _dense_map(Rv: np.ndarray, positions: np.ndarray, M: int) -> np.ndarray:
-    """The dense real (Q*C, Q*K) map of spectral_conv for kernel Rv (J, K, C)."""
-    J, K, C = Rv.shape
+    """The dense real (Q*C, Q*K) map of spectral_conv for kernel Rv (J, K, 2C)."""
+    J, K, C = Rv.shape[0], Rv.shape[1], Rv.shape[2] // 2
     Q = positions.size
-    T = _pair_basis(J, positions, M) @ _re_im_rows(Rv.reshape(J, K * C))  # (Q*Q, K*C)
+    rows = Rv.reshape(J, K, C, 2).transpose(0, 3, 1, 2).reshape(2 * J, K * C)
+    T = _pair_basis(J, positions, M) @ rows                   # (Q*Q, K*C)
     return T.reshape(Q, Q, K, C).transpose(0, 3, 1, 2).reshape(Q * C, Q * K)
 
 
@@ -302,7 +289,7 @@ def spectral_matrix(R: Tensor, positions, M: int) -> np.ndarray:
 
 def spectral_conv(R: Tensor, u: Tensor, positions, M: int, matrix=None, out=None) -> Tensor:
     """idft_at(mode_multiply(R, dft_at_positions(u, J, positions, M)), M,
-    positions): (..., Q, C) -> (..., Q, K) for R (J, K, C).
+    positions): (..., Q, C) -> (..., Q, K) for R (J, K, 2C).
 
     For small Q (see _dense_spectral_map) the branch is applied as one dense
     real (Q*C, Q*K) map per sample, T[m,l,n,k] = Re sum_j F[j,m] R[j,k,l] B[j,n].
@@ -311,10 +298,10 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int, matrix=None, out=None
     has it; `out` must not overlap u.
     """
     Rv, uv = R.value, u.value
-    J, K, C = Rv.shape
+    J, K, C = Rv.shape[0], Rv.shape[1], Rv.shape[2] // 2
     positions = np.asarray(positions, dtype=float)
     Q = positions.size
-    if uv.shape[-2:] != (Q, C):
+    if Rv.shape[2] != 2 * C or uv.shape[-2:] != (Q, C):
         raise ValueError("kernel/feature shape mismatch")
     if not _dense_spectral_map(Q, J):
         u_hat = mode_multiply(R, dft_at_positions(u, J, positions, M), matrix=matrix)
@@ -331,7 +318,7 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int, matrix=None, out=None
         gT = (rows.T @ g2).reshape(Q, C, Q, K).transpose(0, 2, 3, 1)
         A = _pair_basis(J, positions, M)
         gR = (A.T @ gT.reshape(Q * Q, K * C)).reshape(J, 2, K, C)
-        return gR[:, 0] + 1j * gR[:, 1], gu
+        return gR.transpose(0, 2, 3, 1).reshape(Rv.shape), gu
 
     return Tensor(out, (R, u), bw)
 

@@ -45,7 +45,7 @@ class Block:
     b1: Tensor
     W2: Tensor
     b2: Tensor
-    kernel: Tensor  # (J, C, C) complex
+    kernel: Tensor  # (J, C, 2C): interleaved (Re, Im) pairs of J (C, C) modes
 
 
 @dataclass
@@ -75,8 +75,8 @@ def _uniform(rng, shape, bound):
 
 
 def init_params(config: DsnoConfig, seed: int) -> DsnoParams:
-    """Seeded initialization: affines uniform +-1/sqrt(fan_in), spectral
-    kernels with real and imaginary parts uniform +-1/C."""
+    """Seeded initialization: affines uniform +-1/sqrt(fan_in); each spectral
+    kernel draws its real parts, then its imaginary parts, uniform +-1/C."""
     rng = np.random.default_rng(seed)
     d, C, E, J = config.d, config.C, config.E, config.J
 
@@ -91,7 +91,7 @@ def init_params(config: DsnoConfig, seed: int) -> DsnoParams:
         emb_W, emb_b = affine(C, E)
         W1, b1 = affine(C, C)
         W2, b2 = affine(C, C)
-        R = _uniform(rng, (J, C, C), 1.0 / C) + 1j * _uniform(rng, (J, C, C), 1.0 / C)
+        R = np.moveaxis(_uniform(rng, (2, J, C, C), 1.0 / C), 0, -1).reshape(J, C, 2 * C)
         blocks.append(Block(emb_W, emb_b, W1, b1, W2, b2, nnops.param(R)))
     proj_W, proj_b = affine(d, C)
     return DsnoParams(config, lift_W, lift_b, blocks, proj_W, proj_b)
@@ -206,6 +206,9 @@ def query_positions(grid: TimeGrid, query_times) -> np.ndarray:
     """Monotone map of query times into the training grid's index coordinate."""
     q = np.asarray(query_times, dtype=float)
     times = grid.times
+    if q.ndim != 1:
+        raise ValueError("query times must be a non-empty set of finite times in a "
+                         f"1-D array, got shape {q.shape}")
     if q.size == 0 or not np.all(np.isfinite(q)):
         raise ValueError("query times must be a non-empty set of finite times")
     if np.any(q > times[0]) or np.any(q < times[-1]):
@@ -229,8 +232,7 @@ def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times) -> np.ndarray
 
 def checkpoint_layout(groups: int):
     """`read_container` / `write_container` layout of a checkpoint: `groups`
-    copies of the header config's parameter tensors in declaration order,
-    in the dtypes `init_params` gives them (f64, c16 if complex)."""
+    copies of the header config's f64 parameter tensors in declaration order."""
     def layout(header: dict) -> list[tuple]:
         refs = init_params(DsnoConfig(**header["config"]), seed=0).tensors()
         return [(t.value.dtype.newbyteorder("<"), t.value.shape) for t in refs] * groups

@@ -77,32 +77,19 @@ class OptimizerState:
                    v=[np.zeros_like(p.value) for p in params])
 
 
-def _real_view(a: np.ndarray) -> np.ndarray:
-    """A complex array's interleaved (Re, Im) pairs; a real one as it is."""
-    return np.ascontiguousarray(a).view(a.real.dtype) if np.iscomplexobj(a) else a
-
-
-def _like(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """`new`, computed on `_real_view(old)`, in old's dtype and shape."""
-    return new.view(old.dtype).reshape(old.shape) if np.iscomplexobj(old) else new
-
-
 def adam_step(params: list[Tensor], grads: list[np.ndarray],
               state: OptimizerState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> list[Tensor]:
-    """Standard bias-corrected Adam, one real update for every tensor: a
-    complex tensor updates its real and imaginary parts as separate reals."""
+    """Standard bias-corrected Adam."""
     state.step += 1
     t = state.step
     for i, (p, g) in enumerate(zip(params, grads)):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in tensor {i}")
-        g = _real_view(g)
-        m = beta1 * _real_view(state.m[i]) + (1 - beta1) * g
-        v = beta2 * _real_view(state.v[i]) + (1 - beta2) * g * g
+        m = state.m[i] = beta1 * state.m[i] + (1 - beta1) * g
+        v = state.v[i] = beta2 * state.v[i] + (1 - beta2) * g * g
         upd = (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
-        state.m[i], state.v[i] = _like(m, state.m[i]), _like(v, state.v[i])
-        p.value = _like(_real_view(p.value) - lr * upd, p.value)
+        p.value = p.value - lr * upd
     return params
 
 

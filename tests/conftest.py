@@ -34,10 +34,11 @@ def grid4(sched):
 
 @pytest.fixture
 def mode_stacks():
-    """Runs fn() and returns its result with the mode stack (..., J, K) of
-    every spectral branch it ran, mode_multiply(R, dft_at_positions(u, J,
-    positions, M)), recorded by wrapping nnops.spectral_conv. Each stack is
-    taken during the call, because inference reuses u's array afterwards."""
+    """Runs fn() and returns its result with the complex mode stack
+    (..., J, K) of every spectral branch it ran, mode_multiply(R,
+    dft_at_positions(u, J, positions, M)) with its [Re | Im] columns joined,
+    recorded by wrapping nnops.spectral_conv. Each stack is taken during the
+    call, because inference reuses u's array afterwards."""
     from flowop import nnops
     spectral_conv = nnops.spectral_conv
 
@@ -45,8 +46,9 @@ def mode_stacks():
         stacks = []
 
         def record(R, u, positions, M, **kwargs):
-            stacks.append(nnops.mode_multiply(R, nnops.dft_at_positions(
-                u, R.value.shape[0], positions, M)).value)
+            re, im = np.split(nnops.mode_multiply(R, nnops.dft_at_positions(
+                u, R.value.shape[0], positions, M)).value, 2, axis=-1)
+            stacks.append(re + 1j * im)
             return spectral_conv(R, u, positions, M, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:

@@ -118,7 +118,8 @@ def test_criterion_05_spectral_layer_equivalence(report):
         J, C = M // 2 + 1, 3
         R = rng.standard_normal((J, C, C)) + 1j * rng.standard_normal((J, C, C))
         u = rng.standard_normal((M, C))
-        fast = spectral_conv(param(R), param(u), np.arange(M, dtype=float), M).value
+        fast = spectral_conv(param(R.view(float)), param(u), np.arange(M, dtype=float),
+                             M).value
         r = impulse_response(R, M)
         slow = np.zeros_like(u)
         for n in range(M):
@@ -254,7 +255,8 @@ def test_criterion_10_query_consistency(report, mode_stacks):
     worst = 0.0
     for W in got:
         W = W[0]
-        samples = idft_at(param(W), cfg.M, idx).value
+        samples = idft_at(param(np.concatenate([W.real, W.imag], axis=-1)),
+                          cfg.M, idx).value
         fine = np.fft.fft(samples, axis=0)
         worst = max(worst, float(np.max(np.abs(fine[0] - 2 * np.real(W[0])))))
         for j in range(1, cfg.J):

@@ -24,6 +24,10 @@ def _load_spans():
 
 
 SPANS = _load_spans()
+# spans.install looks up every traced module in sys.modules, so each test
+# that installs it must not depend on other tests having imported them
+for _module in {module for module, _, _ in SPANS.FUNCTIONS}:
+    importlib.import_module(f"flowop.{_module}")
 RUN_CALLS = [("training", "weighted_loss"), ("training", "_batch_indices"),
              ("cli", "parse_config"), ("cli", "_DEFAULTS")]
 
@@ -57,6 +61,35 @@ def test_dense_query_runs_the_traced_spectral_ops(monkeypatch):
     assert not nnops._dense_spectral_map(q.size, cfg.J)
     query_at(init_params(cfg, seed=0), np.zeros((3, 2)), grid, q)
     assert calls == dict.fromkeys(names, cfg.L)
+
+
+def test_traced_spectral_ops_fill_their_counters():
+    # spans._flops reads each spectral op's shapes, unpacking the kernel as
+    # (J, K, Cin): a model kernel of another rank would raise in every
+    # traced dense query. The factored chain, forward and backward, on a
+    # kernel of the model's own layout must fill each op's counters
+    from flowop import nnops
+    from flowop.operator import DsnoConfig, init_params
+    cfg = DsnoConfig(d=2, C=4, L=1, J=3, M=4, E=8)
+    R = init_params(cfg, seed=0).blocks[0].kernel
+    u = nnops.param(np.random.default_rng(0).standard_normal((2, cfg.M, cfg.C)))
+    positions = np.arange(cfg.M, dtype=float)
+    names = ("dft_at_positions", "mode_multiply", "idft_at")
+    tracer = SPANS.Tracer()
+    undo = SPANS.install(tracer)
+    try:
+        tracer.begin_op("op.contract")
+        u_hat = nnops.mode_multiply(R, nnops.dft_at_positions(u, cfg.J, positions, cfg.M))
+        out = nnops.idft_at(u_hat, cfg.M, positions)
+        nnops.weighted_l1(out, np.zeros(out.shape), np.ones(cfg.M)).backward()
+        tracer.close()
+    finally:
+        SPANS.uninstall(undo)
+    assert R.grad is not None and u.grad is not None
+    for name in names:
+        for counter in ("calls", "bwd.calls"):
+            assert tracer.counts[f"nnops.{name}.{counter}"] == 1, (name, counter)
+        assert tracer.counts[f"nnops.{name}.flops"] > 0, name
 
 
 def test_teacher_calls_score_384_times(monkeypatch):

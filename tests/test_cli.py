@@ -2,6 +2,9 @@ import copy
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +137,25 @@ def test_cli_round_trip_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote 48 trajectories" in out
     assert "trained 8 steps" in out
+
+
+def test_cli_module_entry_point(tmp_path):
+    # `python -m flowop.cli` runs the same command line as the installed
+    # `flowop` script, exit status included
+    cfg_path = write_config(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def flowop_cli(*args):
+        return subprocess.run([sys.executable, "-m", "flowop.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = flowop_cli("gen-data", "--config", str(cfg_path))
+    assert done.returncode == 0, done.stderr
+    assert "wrote 48 trajectories" in done.stdout
+    assert TrajectoryDataset.load(tmp_path / "data.bin").N == 48
+    assert flowop_cli("gen-data", "--config", str(tmp_path / "missing.json")).returncode == 2
 
 
 def test_eval_loads_the_model_once(tmp_path, monkeypatch):

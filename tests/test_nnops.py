@@ -16,6 +16,22 @@ def _rand(rng, *shape):
     return rng.standard_normal(shape)
 
 
+def _cols(Z):
+    """Complex (..., C) -> the ops' real (..., 2C) [Re | Im] columns."""
+    return np.concatenate([Z.real, Z.imag], axis=-1)
+
+
+def _from_cols(X):
+    """The ops' real (..., 2C) [Re | Im] columns -> complex (..., C)."""
+    re, im = np.split(X, 2, axis=-1)
+    return re + 1j * im
+
+
+def _from_pairs(X):
+    """A kernel's real (..., 2C) (Re, Im) pairs -> complex (..., C)."""
+    return X[..., 0::2] + 1j * X[..., 1::2]
+
+
 def dft_truncated(u: Tensor, J: int) -> Tensor:
     """One-sided unnormalized DFT over the temporal axis, modes 0..J-1."""
     M = u.value.shape[-2]
@@ -39,7 +55,7 @@ def test_dft_truncated_matches_fft():
     rng = np.random.default_rng(0)
     for M, J in ((4, 3), (8, 5), (7, 4)):
         u = _rand(rng, M, 6)
-        out = dft_truncated(param(u), J).value
+        out = _from_cols(dft_truncated(param(u), J).value)
         ref = np.fft.fft(u, axis=0)[:J]
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -85,7 +101,7 @@ def test_idft_fractional_query_single_mode():
     u_hat = np.zeros((2, 1), dtype=complex)
     u_hat[1, 0] = 1.0
     q = np.array([0.0, 1.25, 3.5, 6.75])
-    out = idft_at(param(u_hat), M, q).value[:, 0]
+    out = idft_at(param(_cols(u_hat)), M, q).value[:, 0]
     assert np.allclose(out, (2.0 / M) * np.cos(2 * np.pi * q / M), atol=1e-14)
 
 
@@ -108,15 +124,17 @@ def test_mode_multiply_matches_einsum():
     J, K, L, B = 4, 3, 5, 7
     R = _rand(rng, J, K, L) + 1j * _rand(rng, J, K, L)
     u = _rand(rng, B, J, L) + 1j * _rand(rng, B, J, L)
-    out = mode_multiply(param(R), param(u)).value
+    out = _from_cols(mode_multiply(param(R.view(float)), param(_cols(u))).value)
     ref = np.einsum("jkl,bjl->bjk", R, u)
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
 def test_mode_multiply_shape_check():
     with pytest.raises(ValueError):
-        mode_multiply(param(np.zeros((3, 2, 2), complex)),
-                      param(np.zeros((4, 2), complex)))
+        mode_multiply(param(np.zeros((3, 2, 4))), param(np.zeros((4, 4))))
+    # an odd last axis holds no (Re, Im) pairs
+    with pytest.raises(ValueError):
+        mode_multiply(param(np.zeros((3, 2, 3))), param(np.zeros((4, 3, 3))))
 
 
 def test_affine_pointwise_values():
@@ -139,11 +157,11 @@ def _spectral_chain(R, u, positions, M):
 
 
 def _value_and_grads(op, R, u, positions, M, g):
-    """op's output and the gradients of sum(g * output) w.r.t. R and u."""
-    Rt, ut = param(R), param(u)
+    """op's output and the gradients of sum(g * output) w.r.t. complex R and u."""
+    Rt, ut = param(R.view(float)), param(u)
     out = op(Rt, ut, positions, M)
     Tensor(np.asarray(np.sum(g * out.value)), (out,), lambda s: (s * g,)).backward()
-    return out.value, Rt.grad, ut.grad
+    return out.value, _from_pairs(Rt.grad), ut.grad
 
 
 def _spectral_einsum(R, u, positions, M, g):
@@ -183,7 +201,11 @@ def test_spectral_conv_matches_reference_chain():
 
 def test_spectral_conv_shape_check():
     with pytest.raises(ValueError):
-        spectral_conv(param(np.zeros((3, 2, 2), complex)), param(np.zeros((5, 2))),
+        spectral_conv(param(np.zeros((3, 2, 4))), param(np.zeros((5, 2))),
+                      np.arange(4.0), 4)
+    # an odd last axis holds no (Re, Im) pairs
+    with pytest.raises(ValueError):
+        spectral_conv(param(np.zeros((3, 2, 3))), param(np.zeros((4, 1))),
                       np.arange(4.0), 4)
 
 
@@ -217,8 +239,8 @@ def _out_calls(rng):
     M = 4
     W, b = param(_rand(rng, 3, 5)), param(_rand(rng, 3))
     u5, u3, u8 = param(_rand(rng, 2, 4, 5)), param(_rand(rng, 2, 4, 3)), param(_rand(rng, 2, 8, 3))
-    R = param(_rand(rng, 3, 3, 3) + 1j * _rand(rng, 3, 3, 3))
-    u_hat = param(_rand(rng, 2, 3, 3) + 1j * _rand(rng, 2, 3, 3))
+    R = param((_rand(rng, 3, 3, 3) + 1j * _rand(rng, 3, 3, 3)).view(float))
+    u_hat = param(_cols(_rand(rng, 2, 3, 3) + 1j * _rand(rng, 2, 3, 3)))
     e = param(_rand(rng, 4, 3))
     return {
         "affine_pointwise": lambda out: affine_pointwise(W, b, u5, out=out),
@@ -353,7 +375,7 @@ def test_grad_check_spectral_chain():
     rng = np.random.default_rng(8)
     M, J, C = 4, 3, 3
     u = param(_rand(rng, M, C))
-    R = param(_rand(rng, J, C, C) + 1j * _rand(rng, J, C, C))
+    R = param((_rand(rng, J, C, C) + 1j * _rand(rng, J, C, C)).view(float))
     t = _rand(rng, M, C)
     w = np.abs(_rand(rng, M)) + 0.2
 
@@ -370,7 +392,7 @@ def test_grad_check_spectral_conv():
     for Q in (M, 9):
         q = np.sort(rng.uniform(0, M, Q))
         u = param(_rand(rng, 2, Q, C))
-        R = param(_rand(rng, J, C, C) + 1j * _rand(rng, J, C, C))
+        R = param((_rand(rng, J, C, C) + 1j * _rand(rng, J, C, C)).view(float))
         t = _rand(rng, 2, Q, C)
         w = np.abs(_rand(rng, Q)) + 0.2
 

@@ -119,7 +119,8 @@ def test_temporal_conv_is_circular_convolution():
         J, K, L = M // 2 + 1, 3, 3
         R = rng.standard_normal((J, K, L)) + 1j * rng.standard_normal((J, K, L))
         u = rng.standard_normal((M, L))
-        fast = spectral_conv(param(R), param(u), np.arange(M, dtype=float), M).value
+        fast = spectral_conv(param(R.view(float)), param(u), np.arange(M, dtype=float),
+                             M).value
         slow = circ_conv(u, kernel_impulse_response(R, M))
         assert np.max(np.abs(fast - slow)) < 1e-10
 
@@ -129,7 +130,7 @@ def test_temporal_conv_shortcut_identity():
     cfg = small_config()
     u = np.random.default_rng(1).standard_normal((cfg.M, cfg.C))
     R = np.zeros((cfg.J, cfg.C, cfg.C), dtype=complex)
-    out = temporal_conv(param(R), param(u), cfg.M).value
+    out = temporal_conv(param(R.view(float)), param(u), cfg.M).value
     assert np.array_equal(out, u)
 
 
@@ -232,10 +233,12 @@ def test_query_positions_out_of_range(grid4):
         query_positions(grid4, [grid4.times[-1] / 2])
 
 
-@pytest.mark.parametrize("times", [[], [np.nan], [0.5, np.nan], [np.inf]])
+@pytest.mark.parametrize("times", [[], [np.nan], [0.5, np.nan], [np.inf], 0.5,
+                                   [[0.5, 0.4]]])
 def test_query_positions_rejects_empty_and_non_finite(grid4, times):
     # NaN passes the span check, and the spectral transform would spread it
-    # over every output of the row; no times at all divides by zero in query_at
+    # over every output of the row; no times at all divides by zero in query_at;
+    # times that are not a 1-D array fail deep inside the evaluator
     with pytest.raises(ValueError, match="non-empty set of finite times"):
         query_positions(grid4, times)
     params = init_params(small_config(), seed=0)
@@ -277,7 +280,8 @@ def test_dense_query_preserves_band_limited_modes(grid4, mode_stacks):
     assert len(got) == cfg.L
     for W in got:                                      # (1, J, C) mode stack
         W = W[0]
-        samples = idft_at(param(W), cfg.M, idx).value  # (2M, C) K-branch rows
+        samples = idft_at(param(np.concatenate([W.real, W.imag], axis=-1)),
+                          cfg.M, idx).value            # (2M, C) K-branch rows
         fine = np.fft.fft(samples, axis=0)
         # retained band: DC carries 2 Re(W_0), middle modes carry 2 W_j,
         # the coarse Nyquist (when retained) carries W_J-1 once
@@ -424,13 +428,19 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def _numbered_checkpoints(tmp_path):
     """A model and a train checkpoint of a tiny model whose values are
-    fixed numbers, not draws, so their bytes are fixed."""
+    fixed numbers, not draws, so their bytes are fixed. The kernel's value,
+    m and v are computed as complex (J, C, C) arrays and stored as their
+    float views, the kernel's layout."""
     p = init_params(DsnoConfig(d=2, C=2, L=1, J=1, M=1, E=2), seed=0)
-    for i, t in enumerate(p.tensors()):
-        v = np.arange(t.value.size, dtype=float).reshape(t.value.shape) / 7 + i
-        t.value = v * (1 - 0.5j) if np.iscomplexobj(t.value) else v
-    state = OptimizerState(m=[t.value / 3 for t in p.tensors()],
-                           v=[t.value / 5 for t in p.tensors()], step=9)
+    values = []
+    for i, (name, t) in enumerate(p.named_tensors()):
+        kernel = name.endswith("kernel")
+        shape = (*t.value.shape[:-1], t.value.shape[-1] // 2) if kernel else t.value.shape
+        v = np.arange(np.prod(shape, dtype=int), dtype=float).reshape(shape) / 7 + i
+        values.append(v * (1 - 0.5j) if kernel else v)
+        t.value = values[-1].view(float)
+    state = OptimizerState(m=[(v / 3).view(float) for v in values],
+                           v=[(v / 5).view(float) for v in values], step=9)
     model, trained = tmp_path / "model.bin", tmp_path / "train.bin"
     save_checkpoint(model, p, extra={"steps": 3})
     save_train_checkpoint(trained, p, state,

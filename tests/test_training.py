@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from flowop import nnops
 from flowop.nnops import param
-from flowop.operator import DsnoConfig, forward, init_params
+from flowop.operator import DsnoConfig, forward, forward_loss, init_params
 from flowop.schedule import loss_weight
 from flowop.trajectories import generate_dataset, make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, adam_step,
@@ -95,22 +96,25 @@ def test_adam_first_step_is_signed_lr():
     assert np.allclose(p.value, expected, rtol=1e-12)
 
 
-def test_adam_complex_updates_parts_independently():
-    # a complex tensor's update is real Adam on its parts, bit for bit
-    rng = np.random.default_rng(7)
-    shape = (3, 8, 8)
-    pc = param(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    pr, pi = param(pc.value.real.copy()), param(pc.value.imag.copy())
-    st_c = OptimizerState.fresh([pc])
-    st_r = OptimizerState.fresh([pr, pi])
-    for _ in range(20):
-        # transposed, as mode_multiply's kernel gradient is
-        g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).transpose(0, 2, 1)
-        adam_step([pc], [g], st_c, lr=0.05)
-        adam_step([pr, pi], [g.real.copy(), g.imag.copy()], st_r, lr=0.05)
-    assert pc.value.dtype == st_c.m[0].dtype == st_c.v[0].dtype == np.complex128
-    assert np.array_equal(pc.value.real, pr.value)
-    assert np.array_equal(pc.value.imag, pi.value)
+@pytest.mark.parametrize("cfg", [DsnoConfig(d=2, C=4, L=1, J=3, M=4, E=8),
+                                 DsnoConfig(d=2, C=4, L=1, J=5, M=8, E=8)],
+                         ids=["dense", "factored"])
+def test_params_grads_and_adam_state_are_float64(cfg):
+    # one number type on the tape: the spectral kernel is held, differentiated
+    # and updated as real (Re, Im) pairs, on both spectral paths
+    assert nnops._dense_spectral_map(cfg.M, cfg.J) == (cfg.M == 4)
+    grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)
+    p = init_params(cfg, seed=0)
+    rng = np.random.default_rng(1)
+    loss = forward_loss(p, rng.standard_normal((3, cfg.d)), grid,
+                        rng.standard_normal((3, cfg.M, cfg.d)), np.ones(cfg.M))
+    loss.backward()
+    tensors = p.tensors()
+    grads = [t.grad for t in tensors]
+    state = OptimizerState.fresh(tensors)
+    adam_step(tensors, grads, state, lr=1e-3)
+    arrays = [t.value for t in tensors] + grads + state.m + state.v
+    assert [a.dtype for a in arrays] == [np.dtype(np.float64)] * 4 * len(tensors)
 
 
 def test_adam_rejects_non_finite_gradient():
