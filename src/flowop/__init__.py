@@ -7,7 +7,7 @@ from .trajectories import (TimeGrid, Trajectory, TrajectoryDataset, generate_dat
                            make_time_grid, pf_rhs, solve_trajectory, step_euler,
                            step_exponential, step_heun)
 from .operator import (DsnoConfig, DsnoParams, forward, init_params, load_checkpoint,
-                       query_at, save_checkpoint, temporal_conv)
+                       query_at, save_checkpoint)
 from .training import (TrainConfig, adam_step, eval_trajectory_rmse,
                        lr_at, sliced_wasserstein, train, weighted_loss)
 from .spectrum import PowerSpectrum, power_spectrum, trajectory_spectrum_report

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import itertools
 import json
 import os
 import sys
@@ -18,9 +17,9 @@ from .operator import DsnoConfig, forward, load_checkpoint, save_checkpoint
 from .schedule import NoiseSchedule
 from .spectrum import trajectory_spectrum_report, write_report
 from .trajectories import (TrajectoryDataset, atomic_open, check_solver, generate_dataset,
-                           make_time_grid)
-from .training import (TrainConfig, eval_trajectory_rmse, sliced_wasserstein,
-                       train)
+                           make_time_grid, write_tsv)
+from .training import (TrainConfig, check_config_match, eval_trajectory_rmse,
+                       sliced_wasserstein, train)
 
 
 class ConfigError(ValueError):
@@ -138,16 +137,16 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return ExperimentConfig(raw, overrides)
 
 
-def _write_tsv(path: str, header, rows) -> None:
-    """A header and tab-separated rows of str() cells, written through
-    `atomic_open`; rows may be a generator, consumed while writing."""
-    with atomic_open(path) as f:
-        for row in itertools.chain([header], rows):
-            f.write(("\t".join(map(str, row)) + "\n").encode())
-
-
 def _model_path(cfg: ExperimentConfig) -> str:
     return os.path.join(cfg.out_dir, "model.bin")
+
+
+def _load_model(cfg: ExperimentConfig):
+    """The params of the run's checkpoint, refused unless built for cfg's model."""
+    params, _ = load_checkpoint(_model_path(cfg))
+    check_config_match("model", vars(params.config), vars(cfg.model),
+                       f"{_model_path(cfg)} holds another model")
+    return params
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> dict:
@@ -178,7 +177,7 @@ def _sample_endpoints(params, cfg: ExperimentConfig, n: int, seed: int) -> np.nd
 
 
 def cmd_sample(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    params, _ = load_checkpoint(_model_path(cfg))
+    params = _load_model(cfg)
     samples = _sample_endpoints(params, cfg, n, seed)
     path = os.path.join(cfg.out_dir, "samples.tsv")
     rows, d = samples.shape
@@ -192,15 +191,15 @@ def cmd_sample(cfg: ExperimentConfig, n: int, seed: int) -> dict:
 
 
 def cmd_eval(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    params, _ = load_checkpoint(_model_path(cfg))
+    params = _load_model(cfg)
     # held-out solver trajectories, disjoint seeds from the training set
     heldout = generate_dataset(cfg.mixture, cfg.sched, cfg.grid, min(n, 2000),
                                base_seed=cfg.dataset["base_seed"] + 10_000_000,
                                solver=cfg.dataset["solver"],
                                substeps=cfg.dataset["substeps"])
     per_time, pooled = eval_trajectory_rmse(params, heldout)
-    _write_tsv(os.path.join(cfg.out_dir, "eval.tsv"), ("time", "rmse"),
-               ((f"{t:.8g}", f"{r:.10g}") for t, r in zip(cfg.grid.times, per_time)))
+    write_tsv(os.path.join(cfg.out_dir, "eval.tsv"), ("time", "rmse"),
+              ((f"{t:.8g}", f"{r:.10g}") for t, r in zip(cfg.grid.times, per_time)))
     model_samples = _sample_endpoints(params, cfg, n, seed + 1)
     data_samples = sample_data(cfg.mixture, n, seed + 2)
     sw = sliced_wasserstein(model_samples, data_samples, n_proj=128, seed=seed + 3)
@@ -274,9 +273,9 @@ def run(argv) -> int:
             seed = cfg.training.seed if args.seed is None else args.seed
             cmd = {"sample": cmd_sample, "eval": cmd_eval, "spectrum": cmd_spectrum}
             results = {**cmd[args.command](cfg, args.n, seed), "seed": seed}
-        _write_tsv(os.path.join(cfg.out_dir, f"summary_{args.command}.tsv"),
-                   ("key", "value"), [("command", args.command),
-                                      *cfg.flat_items(), *results.items()])
+        write_tsv(os.path.join(cfg.out_dir, f"summary_{args.command}.tsv"),
+                  ("key", "value"), [("command", args.command),
+                                     *cfg.flat_items(), *results.items()])
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

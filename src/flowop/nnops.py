@@ -323,16 +323,15 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int, matrix=None, out=None
     return Tensor(out, (R, u), bw)
 
 
-def time_embedding(t: float, E: int) -> np.ndarray:
-    """Sinusoidal embedding [sin(w_k t), cos(w_k t)] with log-spaced w_k."""
+def time_embedding(t, E: int) -> np.ndarray:
+    """Sinusoidal embedding [sin(w_k t), cos(w_k t)] with log-spaced w_k of
+    a time, (E,), or of a 1-D array of times, (Q, E)."""
     if E < 2 or E % 2 != 0:
         raise ValueError("embedding width must be even and >= 2")
     half = E // 2
-    if half == 1:
-        omega = np.array([1.0])
-    else:
-        omega = np.exp(-np.arange(half) * math.log(1e4) / (half - 1))
-    return np.concatenate([np.sin(omega * t), np.cos(omega * t)])
+    omega = np.exp(-np.arange(half) * math.log(1e4) / max(half - 1, 1))
+    wt = np.multiply.outer(t, omega)
+    return np.concatenate([np.sin(wt), np.cos(wt)], axis=-1)
 
 
 def weighted_l1(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:

@@ -97,33 +97,12 @@ def init_params(config: DsnoConfig, seed: int) -> DsnoParams:
     return DsnoParams(config, lift_W, lift_b, blocks, proj_W, proj_b)
 
 
-def temporal_conv(kernel: Tensor, u: Tensor, M: int, positions=None,
-                  slope: float = 0.01, matrix=None, work=None) -> Tensor:
-    """u + leaky_relu(K u), K the truncated Fourier kernel operator.
-
-    The shortcut is the identity and no bias enters the spectral branch.
-    `positions` are fractional index coordinates for resolution-free
-    evaluation; default is the integer grid. `matrix` is the kernel's
-    `nnops.spectral_matrix`; `work`, three arrays shaped like u, receives
-    the result (the first, which may be u itself) and the two temporaries.
-    """
-    if positions is None:
-        positions = np.arange(M, dtype=float)
-    out, k_out, act_out = work or (None, None, None)
-    k_branch = nnops.spectral_conv(kernel, u, positions, M, matrix=matrix, out=k_out)
-    return nnops.add(u, nnops.leaky_relu(k_branch, slope, out=act_out), out=out)
-
-
-def _embed_matrix(times: np.ndarray, E: int) -> np.ndarray:
-    return np.stack([nnops.time_embedding(t, E) for t in times])
-
-
 def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray) -> list[tuple]:
     """What each residual block needs that does not depend on the rows, in
     training and inference alike: its time-embedding rows (Q, C) and its
     `nnops.spectral_matrix`, through which the tape records no gradient."""
     cfg = params.config
-    emb_t = nnops.param(_embed_matrix(times, cfg.E))
+    emb_t = nnops.param(nnops.time_embedding(times, cfg.E))
     return [(nnops.affine_pointwise(blk.emb_W, blk.emb_b, emb_t),
              nnops.spectral_matrix(blk.kernel, positions, cfg.M))
             for blk in params.blocks]
@@ -132,7 +111,7 @@ def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray) -> list[
 def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
                    plan: list[tuple], work=None, out=None) -> Tensor:
     """(n, d) rows -> (n, Q, d) outputs at `positions`. Under no_record(),
-    `work` (three (n, Q, C) arrays) and `out` receive every (n, Q, ·)
+    `work` (three (n, Q, C) arrays a, b, c) and `out` receive every (n, Q, ·)
     result, so the graph allocates no array of that size."""
     cfg = params.config
     a, b, c = work or (None, None, None)
@@ -147,7 +126,8 @@ def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
         t1 = nnops.leaky_relu(h, cfg.slope, out=c)
         t2 = nnops.affine_pointwise(blk.W2, blk.b2, t1, out=b)
         u = nnops.add(u, t2, out=a)
-        u = temporal_conv(blk.kernel, u, cfg.M, positions, cfg.slope, matrix, work)
+        k = nnops.spectral_conv(blk.kernel, u, positions, cfg.M, matrix=matrix, out=b)
+        u = nnops.add(u, nnops.leaky_relu(k, cfg.slope, out=c), out=a)
     return nnops.affine_pointwise(params.proj_W, params.proj_b, u, out=out)
 
 
@@ -189,14 +169,21 @@ def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) ->
     return y[0] if x.ndim == 1 else y
 
 
+def _grid_positions(params: DsnoParams, grid: TimeGrid) -> np.ndarray:
+    """The index positions 0..M-1 of `grid`, which must have the model's M times."""
+    if grid.M != params.config.M:
+        raise ValueError(f"grid M={grid.M} != model M={params.config.M}")
+    return np.arange(grid.M, dtype=float)
+
+
 def forward(params: DsnoParams, x_T, grid: TimeGrid) -> np.ndarray:
     """One-call prediction of the whole trajectory: (M, d) or (B, M, d)."""
-    return _infer(params, x_T, grid.times, np.arange(params.config.M, dtype=float))
+    return _infer(params, x_T, grid.times, _grid_positions(params, grid))
 
 
 def forward_loss(params: DsnoParams, x_T, grid: TimeGrid, target, weights) -> Tensor:
     """Differentiable weighted l1 training loss for a batch."""
-    positions = np.arange(params.config.M, dtype=float)
+    positions = _grid_positions(params, grid)
     plan = _plan(params, grid.times, positions)
     y = _forward_graph(params, np.asarray(x_T, dtype=float), positions, plan)
     return nnops.weighted_l1(y, target, weights)
@@ -226,6 +213,7 @@ def query_at(params: DsnoParams, x_T, grid: TimeGrid, query_times) -> np.ndarray
     row-block evaluator, so a query over any number of rows and times keeps
     the working set of one block.
     """
+    _grid_positions(params, grid)
     q = np.asarray(query_times, dtype=float)
     return _infer(params, x_T, q, query_positions(grid, q))
 

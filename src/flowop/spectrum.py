@@ -12,7 +12,7 @@ import numpy as np
 
 from .mixture import GaussianMixture
 from .schedule import NoiseSchedule
-from .trajectories import TimeGrid, atomic_open, solve_trajectory
+from .trajectories import TimeGrid, solve_trajectory, write_tsv
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,10 @@ def trajectory_spectrum_report(gm: GaussianMixture, sched: NoiseSchedule,
 
 
 def write_report(report: SpectrumReport, path) -> None:
-    """Per-mode spectrum table, written through `atomic_open`."""
-    lines = ["mode\tfreq\tmean\tmin\tmax\n"]
-    for j in range(report.modes.size):
-        lines.append(f"{report.modes[j]}\t{report.freq[j]:.8g}\t"
-                     f"{report.mean[j]:.10g}\t{report.min[j]:.10g}\t{report.max[j]:.10g}\n")
-    lines.append(f"# band_fraction_j<=5\t{report.band_fraction_j5:.10g}\t"
-                 f"nondc\t{report.band_fraction_j5_nodc:.10g}\n")
-    with atomic_open(path) as f:
-        f.write("".join(lines).encode())
+    """Per-mode spectrum table and its band-fraction row, through `write_tsv`."""
+    rows = [(report.modes[j], f"{report.freq[j]:.8g}", f"{report.mean[j]:.10g}",
+             f"{report.min[j]:.10g}", f"{report.max[j]:.10g}")
+            for j in range(report.modes.size)]
+    rows.append(("# band_fraction_j<=5", f"{report.band_fraction_j5:.10g}",
+                 "nondc", f"{report.band_fraction_j5_nodc:.10g}"))
+    write_tsv(path, ("mode", "freq", "mean", "min", "max"), rows)

@@ -10,8 +10,8 @@ from . import operator
 from .nnops import Tensor
 from .operator import DsnoConfig, DsnoParams, forward, forward_loss, init_params
 from .schedule import NoiseSchedule, loss_weight
-from .trajectories import (TimeGrid, TrajectoryDataset, atomic_open, read_container,
-                           write_container)
+from .trajectories import (TimeGrid, TrajectoryDataset, read_container, write_container,
+                           write_tsv)
 
 
 @dataclass(frozen=True)
@@ -126,18 +126,15 @@ def load_train_checkpoint(path) -> tuple[DsnoParams, OptimizerState, dict]:
             OptimizerState(m=arrays[n:2 * n], v=arrays[2 * n:], step=extra["step"]), extra)
 
 
-def _check_resume(params: DsnoParams, extra: dict, mc: DsnoConfig,
-                  tc: TrainConfig) -> None:
-    """Refuse a checkpoint whose model or train config differs from this
-    run's in anything but total_steps."""
-    saved = {"model": vars(params.config), "train": extra["train"]}
-    given = {"model": vars(mc), "train": vars(tc)}
-    for section in saved:
-        for key in sorted(saved[section].keys() | given[section].keys()):
-            was, now = saved[section].get(key), given[section].get(key)
-            if key != "total_steps" and was != now:
-                raise ValueError(f"cannot resume: checkpoint has {section}.{key}="
-                                 f"{was!r}, this run has {now!r}")
+def check_config_match(section: str, saved: dict, given: dict, refusal: str,
+                       ignore=()) -> None:
+    """Refuse a checkpoint whose config `section` differs from this run's in
+    a key outside `ignore`: ValueError naming the first such key, sorted."""
+    for key in sorted(saved.keys() | given.keys()):
+        was, now = saved.get(key), given.get(key)
+        if key not in ignore and was != now:
+            raise ValueError(f"{refusal}: checkpoint has {section}.{key}={was!r}, "
+                             f"this run has {now!r}")
 
 
 def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
@@ -155,7 +152,9 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
         raise ValueError("dataset/model dimension mismatch")
     if resume_from is not None:
         params, state, extra = load_train_checkpoint(resume_from)
-        _check_resume(params, extra, mc, tc)
+        check_config_match("model", vars(params.config), vars(mc), "cannot resume")
+        check_config_match("train", extra["train"], vars(tc), "cannot resume",
+                           ignore=("total_steps",))
         start = state.step
     else:
         params = init_params(mc, seed=tc.seed)
@@ -183,18 +182,14 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
             save_train_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1:07d}.bin"),
                                   params, state, tc)
     if out_dir:
-        with atomic_open(os.path.join(out_dir, "loss.tsv")) as f:
-            f.write(b"step\tlr\tloss\n")
-            for s, lr, lo in curve:
-                f.write(f"{s}\t{lr:.8g}\t{lo:.10g}\n".encode())
+        write_tsv(os.path.join(out_dir, "loss.tsv"), ("step", "lr", "loss"),
+                  ((s, f"{lr:.8g}", f"{lo:.10g}") for s, lr, lo in curve))
     return TrainResult(params=params, loss_curve=curve)
 
 
 def eval_trajectory_rmse(params: DsnoParams, dataset: TrajectoryDataset
                          ) -> tuple[np.ndarray, float]:
     """Per-grid-time and pooled RMSE of one-call predictions on held-out data."""
-    if dataset.grid.M != params.config.M:
-        raise ValueError("grid length mismatch")
     pred = forward(params, dataset.x_T.astype(float), dataset.grid)
     sq_sum = np.sum((pred - dataset.values.astype(float)) ** 2, axis=(0, 2))
     count = dataset.N * dataset.d

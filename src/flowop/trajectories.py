@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -171,6 +172,14 @@ def atomic_open(path):
         raise
 
 
+def write_tsv(path, header, rows) -> None:
+    """A header and tab-separated rows of str() cells, written through
+    `atomic_open`; rows may be a generator, consumed while writing."""
+    with atomic_open(path) as f:
+        for row in itertools.chain([header], rows):
+            f.write(("\t".join(map(str, row)) + "\n").encode())
+
+
 _CKPT_MAGIC = b"FOP2"
 
 
@@ -312,30 +321,26 @@ def _seed_state(base_seed: int, N: int) -> np.ndarray:
     """SeedSequence(base_seed + j).generate_state(4, np.uint64) for j < N, as
     (N, 4) uint64: numpy's algorithm run as uint32 array arithmetic.
 
-    A seed's entropy is its little-endian 32-bit words (one word for 0). The
-    hash depends on how many there are, so it runs once per word count."""
+    A seed's entropy is its little-endian 32-bit words, of which the first
+    four hash as 0 where missing: one pass hashes those four, then word k > 3
+    is mixed into the records that have it, the suffix of seeds >= 2**(32 k)."""
     base_seed = int(base_seed)   # a numpy integer has no bit_length
-    first, last = (max(1, -(-s.bit_length() // 32)) for s in (base_seed, base_seed + N - 1))
     seeds = np.arange(base_seed, base_seed + N, dtype=object)
-    words = [(seeds >> 32 * k & _M32).astype(np.uint32) for k in range(last)]
-    state = np.empty((N, 8), np.uint32)
-    for c in range(first, last + 1):   # records a..b-1 have c words
-        a = 0 if c == first else (1 << 32 * (c - 1)) - base_seed
-        b = min((1 << 32 * c) - base_seed, N)
-        entropy = [w[a:b] for w in words[:c]]
-        h = [_INIT_A, _MULT_A]
-        pool = [_hashmix(entropy[i] if i < c else np.zeros(b - a, np.uint32), h)
-                for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], h))
-        for src in range(4, c):
-            for dst in range(4):
-                pool[dst] = _mix(pool[dst], _hashmix(entropy[src], h))
-        h = [_INIT_B, _MULT_B]
-        for i in range(8):
-            state[a:b, i] = _hashmix(pool[i % 4], h)
+    nwords = -(-(base_seed + N - 1).bit_length() // 32)
+    words = [(seeds >> 32 * k & _M32).astype(np.uint32) for k in range(nwords)]
+    words += [np.zeros(N, np.uint32)] * (4 - nwords)
+    h = [_INIT_A, _MULT_A]
+    pool = [_hashmix(w, h) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h))
+    for k in range(4, nwords):
+        lo = max(0, (1 << 32 * k) - base_seed)
+        for dst in range(4):
+            pool[dst][lo:] = _mix(pool[dst][lo:], _hashmix(words[k][lo:], h))
+    h = [_INIT_B, _MULT_B]
+    state = np.stack([_hashmix(pool[i % 4], h) for i in range(8)], axis=1)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 

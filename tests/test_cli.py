@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import re
@@ -139,6 +140,35 @@ def test_cli_round_trip_pipeline(tmp_path, capsys):
     assert "trained 8 steps" in out
 
 
+# sha256 of every file a gen-data, train, sample, eval and spectrum run
+# writes; digests taken with float64 OpenBLAS 0.3.31 on x86-64
+GOLDEN_RUN = {
+    "data.bin": "6fab61a371c517d6ea450356568d4d717a7b31a37f1851568564a14f20d5acc4",
+    "run/eval.tsv": "1e7dd1b7f1a7206ae4a8bdb0a1a186763bdf5ec26d489dca1e4fe190802e0dda",
+    "run/loss.tsv": "8ae311376d0f673f0a142afa963c96c0cccdddea51ec117320e2f79cffc1e41c",
+    "run/model.bin": "0ba35ce3082056e047f3f6a64c74bbf7f99d658014e4e69f3db0e62c92bdd969",
+    "run/samples.tsv": "806d90acefc415442f5b0b8f6a154a3ec04391a2e7841bf4cf4b493d7ed2528d",
+    "run/spectrum.tsv": "dd7a658fc5f0c01d664086b6fe75bef8c318238951c5297cf5d8a9bcbb5afab4",
+    "run/summary_eval.tsv": "c9d1c07522d258a4b87b14d5df6be1652a165610c2ff38e658070ac36a674e18",
+    "run/summary_gen-data.tsv": "7d43837aed38e91196ecc1b09b9816ea46dbfb5f81f91c603cc5cdc08261bf40",
+    "run/summary_sample.tsv": "df9c303be24bbe59c0a73f28f361791bd25dcb126f50e82d46b2a06751b0af5c",
+    "run/summary_spectrum.tsv": "4d87815723f94303823080359f38876397f869c13c32df6ad352af096e865a4c",
+    "run/summary_train.tsv": "ae4c1880f6fe80ce4c08552dc0404acbc32472878c3d588e22a1ca32263e7f9a",
+}
+
+
+def test_cli_golden_run(tmp_path, monkeypatch):
+    # relative paths, so the summaries hold no name of the temporary directory
+    write_config(tmp_path, dataset={"path": "data.bin"}, out_dir="run")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["gen-data"], ["train"], ["sample", "--n", "32"], ["eval", "--n", "64"],
+                 ["spectrum", "--n", "4"]):
+        assert run([*argv, "--config", "config.json"]) == 0
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file() and p.name != "config.json"}
+    assert written == GOLDEN_RUN
+
+
 def test_cli_module_entry_point(tmp_path):
     # `python -m flowop.cli` runs the same command line as the installed
     # `flowop` script, exit status included
@@ -166,6 +196,25 @@ def test_eval_loads_the_model_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_checkpoint", lambda path: paths.append(path) or load(path))
     assert run(["eval", "--config", str(cfg_path), "--n", "16"]) == 0
     assert paths == [str(tmp_path / "run" / "model.bin")]
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("change, differs", [
+    ({"grid": {"M": 8}}, "model.M=4, this run has 8"),
+    ({"model": {"C": 16}}, "model.C=8, this run has 16"),
+], ids=["grid-M", "model-C"])
+def test_sample_and_eval_refuse_another_model(tmp_path, capsys, command, change, differs):
+    # the checkpoint holds a C=8, M=4 model and the config asks for another:
+    # the run exits 1 naming the first field that differs, before any write
+    cfg_path = write_config(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    assert run(["train", "--config", str(cfg_path)]) == 0
+    before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+    capsys.readouterr()
+    assert run([command, "--config", str(write_config(tmp_path, **change)), "--n", "8"]) == 1
+    assert f"model.bin holds another model: checkpoint has {differs}" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
 
 
 def test_cli_steps_and_out_overrides(tmp_path):
@@ -384,7 +433,7 @@ def test_samples_tsv_bytes_match_per_value_format(tmp_path, monkeypatch, d):
     values = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 123456789.0, 1e22, -1e22,
               0.1, 1 / 3, 1e-5, 12345678.9, 1e16, float("inf"), float("nan")]
     samples = np.array(values * d).reshape(-1, d)
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: (None, None))
+    monkeypatch.setattr(cli, "_load_model", lambda cfg: None)
     monkeypatch.setattr(cli, "_sample_endpoints", lambda *args: samples)
     cfg = parse_config(write_config(tmp_path))
     os.makedirs(cfg.out_dir)

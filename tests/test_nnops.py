@@ -284,6 +284,14 @@ def test_time_embedding_structure():
         time_embedding(0.5, 7)
 
 
+def test_time_embedding_of_times_stacks_the_scalar_calls():
+    t = np.concatenate([[0.0, 1e-3, 1.0], np.random.default_rng(4).uniform(0, 1, 61)])
+    for E in (2, 8, 32):
+        want = np.stack([time_embedding(s, E) for s in t])
+        assert time_embedding(t, E).tobytes() == want.tobytes()
+        assert time_embedding(t[:1], E).shape == (1, E)
+
+
 def test_weighted_l1_value():
     pred = param(np.array([[1.0, 2.0], [3.0, 4.0]]))       # (M=2, d=2)
     target = np.array([[0.0, 2.0], [3.0, 2.0]])

@@ -12,10 +12,10 @@ import pytest
 
 from flowop import operator
 from flowop.mixture import GaussianMixture
-from flowop.nnops import idft_at, no_record, param, spectral_conv
+from flowop.nnops import add, idft_at, leaky_relu, no_record, param, spectral_conv
 from flowop.operator import (DsnoConfig, DsnoParams, forward, forward_loss, init_params,
                              load_checkpoint, query_at, query_positions,
-                             save_checkpoint, temporal_conv)
+                             save_checkpoint)
 from flowop.schedule import NoiseSchedule
 from flowop.trajectories import TrajectoryDataset, generate_dataset, make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, load_train_checkpoint,
@@ -126,12 +126,16 @@ def test_temporal_conv_is_circular_convolution():
 
 
 def test_temporal_conv_shortcut_identity():
-    # with a zero kernel the layer is exactly the identity
+    # a zero kernel's branch is exactly 0 on the grid (dense map) and at 2M
+    # query positions (factored path); leaky_relu(0) = 0 and u + 0 = u, so
+    # the block's temporal convolution leaves the residual stream unchanged
     cfg = small_config()
-    u = np.random.default_rng(1).standard_normal((cfg.M, cfg.C))
-    R = np.zeros((cfg.J, cfg.C, cfg.C), dtype=complex)
-    out = temporal_conv(param(R.view(float)), param(u), cfg.M).value
-    assert np.array_equal(out, u)
+    R = param(np.zeros((cfg.J, cfg.C, 2 * cfg.C)))
+    for Q in (cfg.M, 2 * cfg.M):
+        u = param(np.random.default_rng(1).standard_normal((3, Q, cfg.C)))
+        k = spectral_conv(R, u, np.linspace(0, cfg.M - 1, Q), cfg.M)
+        assert np.array_equal(k.value, np.zeros_like(u.value))
+        assert np.array_equal(add(u, leaky_relu(k, cfg.slope)).value, u.value)
 
 
 # ------------------------------------------------------------------- forward
@@ -195,6 +199,26 @@ def test_training_step_bits_pinned(cfg, rows, want):
     assert h.hexdigest() == want
 
 
+@pytest.mark.parametrize("rows, Q, want", [
+    (4096, None, "1889d385f47b097aafc5629e86710bc3bcae0dae7976469fb7615e63a11f7de9"),
+    (None, None, "4bad47514da1dee1d30db16a5180c15f850e33e5fc46322e88b2eeb595e6968f"),
+    (256, 64, "53057888aef71b9140322d4f9991967d50f0446f305acb05ea5b8d81e81d6a7b"),
+], ids=["forward-4096", "forward-1", "query-64"])
+def test_inference_bits_pinned(rows, Q, want):
+    # forward on 4096 rows (dense spectral path, 8 row blocks) and on one
+    # (d,) row, and query_at on 256 rows at 64 times (factored path), at the
+    # default config; digests taken with float64 OpenBLAS 0.3.31 on x86-64
+    cfg = DsnoConfig()
+    grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)
+    p = init_params(cfg, seed=31)
+    x = np.random.default_rng(32).standard_normal(cfg.d if rows is None else (rows, cfg.d))
+    if Q is None:
+        y = forward(p, x, grid)
+    else:
+        y = query_at(p, x, grid, np.linspace(grid.times[0], grid.times[-1], Q))
+    assert hashlib.sha256(y.tobytes()).hexdigest() == want
+
+
 def test_inference_leaves_tape_recording(grid4):
     # forward/query_at build no graph, and neither leaves the tape off,
     # even when they raise inside the no-record scope
@@ -210,6 +234,18 @@ def test_inference_leaves_tape_recording(grid4):
                         rng.standard_normal((2, 4, 2)), np.ones(4))
     loss.backward()
     assert all(t.grad is not None and np.any(t.grad != 0) for t in p.tensors())
+
+
+@pytest.mark.parametrize("call", ["forward", "forward_loss", "query_at"])
+def test_model_refuses_a_grid_of_another_length(call):
+    p = init_params(small_config(), seed=0)           # M = 4
+    grid = make_time_grid(8, "quadratic", 1.0, 1e-3)
+    x = np.zeros((3, 2))
+    calls = {"forward": lambda: forward(p, x, grid),
+             "forward_loss": lambda: forward_loss(p, x, grid, np.zeros((3, 8, 2)), np.ones(8)),
+             "query_at": lambda: query_at(p, x, grid, grid.times[:2])}
+    with pytest.raises(ValueError, match="grid M=8 != model M=4"):
+        calls[call]()
 
 
 # ------------------------------------------------------------------- queries

@@ -164,7 +164,7 @@ def test_train_rejects_mismatched_model(tiny_dataset):
     with pytest.raises(ValueError, match="dimension mismatch"):
         train(tiny_dataset, tiny_train_config(), DsnoConfig(d=3, C=8, L=1, J=3, M=4, E=8))
     p = init_params(DsnoConfig(d=2, C=8, L=1, J=2, M=2, E=8), seed=0)
-    with pytest.raises(ValueError, match="grid length mismatch"):
+    with pytest.raises(ValueError, match="grid M=4 != model M=2"):
         eval_trajectory_rmse(p, tiny_dataset)
 
 

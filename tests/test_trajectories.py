@@ -318,9 +318,10 @@ def oracle_x_T(base_seed, N, d):
 
 
 # single records, small seeds, and ranges that cross 2**32, 2**64 (2 -> 3
-# words) and 2**128 (4 -> 5 words, which takes the hash's extra mixing loop)
+# words), 2**128 (4 -> 5 words, which takes the hash's extra mixing loop)
+# and 2**160 (5 -> 6 words, a sixth word for only the range's tail)
 SEED_RANGES = [(0, 1), (7, 1), (0, 40), (2**32 - 5, 10), (2**63 - 3, 6), (2**64 - 5, 10),
-               (2**96 - 2, 4), (2**128 - 4, 8), (2**160 + 12345, 3),
+               (2**96 - 2, 4), (2**128 - 4, 8), (2**160 + 12345, 3), (2**160 - 3, 6),
                (2_000_003 * (2**31 - 1) + 1, 5)]
 
 
