@@ -16,8 +16,8 @@ from .mixture import GaussianMixture, sample_data
 from .operator import DsnoConfig, forward, load_checkpoint, save_checkpoint
 from .schedule import NoiseSchedule
 from .spectrum import trajectory_spectrum_report, write_report
-from .trajectories import (TrajectoryDataset, atomic_open, check_solver, generate_dataset,
-                           make_time_grid, write_tsv)
+from .trajectories import (TimeGrid, TrajectoryDataset, atomic_open, check_solver,
+                           generate_dataset, make_time_grid, write_tsv)
 from .training import (TrainConfig, check_config_match, eval_trajectory_rmse,
                        sliced_wasserstein, train)
 
@@ -34,7 +34,7 @@ _DEFAULTS = {
         "means": [[2.0, 0.0], [-2.0, 0.0]],
         "variances": [0.01, 0.01],
     },
-    "grid": {"M": 4, "scheme": "quadratic", "s": 1.0, "t_floor": 1e-3},
+    "grid": {"M": 4, "scheme": "quadratic"},
     "dataset": {"N": 1000, "base_seed": 0, "solver": "heun", "substeps": 64,
                 "path": "trajectories.bin"},
     "model": {k: v for k, v in asdict(DsnoConfig()).items() if k not in ("d", "M")},
@@ -99,10 +99,7 @@ class ExperimentConfig:
         with _section("mixture"):
             self.mixture = GaussianMixture(**cfg["mixture"])
         with _section("grid"):
-            self.grid = make_time_grid(**cfg["grid"])
-            if self.grid.times[0] > self.sched.t_max:
-                raise ValueError(f"s={self.grid.times[0]:g} exceeds "
-                                 f"schedule.t_max={self.sched.t_max:g}")
+            self.grid = make_time_grid(sched=self.sched, **cfg["grid"])
         with _section("model"):
             self.model = DsnoConfig(d=self.mixture.d, M=self.grid.M, **cfg["model"])
         with _section("training"):
@@ -141,11 +138,28 @@ def _model_path(cfg: ExperimentConfig) -> str:
     return os.path.join(cfg.out_dir, "model.bin")
 
 
+def _setup(grid: TimeGrid, sched: NoiseSchedule) -> dict:
+    """The grid times and schedule constants a dataset or model was made for,
+    as JSON values: floats round-trip exactly, so a saved setup compares exactly."""
+    return {"times": grid.times.tolist(), "schedule": asdict(sched)}
+
+
+def _check_setup(saved: dict, cfg: ExperimentConfig, refusal: str) -> None:
+    """Refuse a `_setup` other than cfg's, naming the schedule constant or
+    else the grid times that differ."""
+    given = _setup(cfg.grid, cfg.sched)
+    check_config_match("schedule", saved["schedule"], given["schedule"], refusal)
+    check_config_match("grid", {"times": saved["times"]}, {"times": given["times"]}, refusal)
+
+
 def _load_model(cfg: ExperimentConfig):
-    """The params of the run's checkpoint, refused unless built for cfg's model."""
-    params, _ = load_checkpoint(_model_path(cfg))
-    check_config_match("model", vars(params.config), vars(cfg.model),
-                       f"{_model_path(cfg)} holds another model")
+    """The params of the run's checkpoint, refused unless built for cfg's model
+    and, if `flowop train` wrote it, trained at cfg's grid times and schedule."""
+    params, extra = load_checkpoint(_model_path(cfg))
+    refusal = f"{_model_path(cfg)} holds another model"
+    check_config_match("model", vars(params.config), vars(cfg.model), refusal)
+    if "times" in extra:
+        _check_setup(extra, cfg, refusal)
     return params
 
 
@@ -162,10 +176,14 @@ def cmd_gen_data(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_train(cfg: ExperimentConfig) -> dict:
-    data = TrajectoryDataset.load(cfg.dataset["path"])
+    path = cfg.dataset["path"]
+    data = TrajectoryDataset.load(path)
+    _check_setup(_setup(data.grid, data.sched), cfg,
+                 f"{path} holds trajectories of another setup")
     result = train(data, cfg.training, cfg.model, out_dir=cfg.out_dir)
     save_checkpoint(_model_path(cfg), result.params,
-                    extra={"steps": cfg.training.total_steps})
+                    extra={"steps": cfg.training.total_steps,
+                           **_setup(cfg.grid, cfg.sched)})
     final = result.loss_curve[-1][2] if result.loss_curve else float("nan")
     print(f"trained {cfg.training.total_steps} steps, final loss {final:.6g}")
     return {"model_path": _model_path(cfg), "final_loss": final}

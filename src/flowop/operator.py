@@ -115,11 +115,9 @@ def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
     result, so the graph allocates no array of that size."""
     cfg = params.config
     a, b, c = work or (None, None, None)
-    # lifted once per sample; the first embedding add broadcasts it over Q.
-    # c is free until the first leaky ReLU, so its head holds the lift
-    lift = None if c is None else c.reshape(-1)[:len(c) * cfg.C].reshape(-1, 1, cfg.C)
+    # lifted once per sample; the first embedding add broadcasts it over Q
     u = nnops.affine_pointwise(params.lift_W, params.lift_b,
-                               nnops.param(x_T[:, None, :]), out=lift)   # (n, 1, C)
+                               nnops.param(x_T[:, None, :]))   # (n, 1, C)
     for blk, (e, matrix) in zip(params.blocks, plan):
         u = nnops.add(u, e, out=a)
         h = nnops.affine_pointwise(blk.W1, blk.b1, u, out=b)

@@ -128,13 +128,12 @@ def load_train_checkpoint(path) -> tuple[DsnoParams, OptimizerState, dict]:
 
 def check_config_match(section: str, saved: dict, given: dict, refusal: str,
                        ignore=()) -> None:
-    """Refuse a checkpoint whose config `section` differs from this run's in
-    a key outside `ignore`: ValueError naming the first such key, sorted."""
+    """Refuse a saved config `section` that differs from this run's in a key
+    outside `ignore`: ValueError naming the first such key, sorted."""
     for key in sorted(saved.keys() | given.keys()):
         was, now = saved.get(key), given.get(key)
         if key not in ignore and was != now:
-            raise ValueError(f"{refusal}: checkpoint has {section}.{key}={was!r}, "
-                             f"this run has {now!r}")
+            raise ValueError(f"{refusal}: {section}.{key}={was!r}, this run has {now!r}")
 
 
 def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
@@ -146,6 +145,10 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
     checkpoints carry optimizer state so resuming reproduces the
     uninterrupted trace exactly.
     """
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+    if checkpoint_every and not out_dir:
+        raise ValueError("checkpoint_every needs an out_dir to write checkpoints to")
     if dataset.grid.M != mc.M:
         raise ValueError(f"dataset grid M={dataset.grid.M} != model M={mc.M}")
     if dataset.d != mc.d:
@@ -178,7 +181,7 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
         lr = lr_at(tc, step + 1)
         adam_step(tensors, grads, state, lr, tc.beta1, tc.beta2, tc.eps)
         curve.append((step, lr, float(loss.value)))
-        if checkpoint_every and out_dir and (step + 1) % checkpoint_every == 0:
+        if checkpoint_every and (step + 1) % checkpoint_every == 0:
             save_train_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1:07d}.bin"),
                                   params, state, tc)
     if out_dir:

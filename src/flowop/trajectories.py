@@ -29,7 +29,7 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class TimeGrid:
-    times: np.ndarray   # strictly decreasing, within (0, s]
+    times: np.ndarray   # strictly decreasing and positive
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -45,17 +45,15 @@ class TimeGrid:
         return self.times.size
 
 
-def make_time_grid(M: int, scheme: str, s: float, t_floor: float) -> TimeGrid:
-    """Supervision grid of M descending times in (t_floor, s].
+def make_time_grid(M: int, scheme: str, sched: NoiseSchedule) -> TimeGrid:
+    """Supervision grid of M descending times in (sched.t_min, sched.t_max].
 
-    uniform:   t_m = t_floor + (s - t_floor) * m/M
-    quadratic: t_m = t_floor + (s - t_floor) * (m/M)^2   (denser near 0)
+    uniform:   t_m = t_min + (t_max - t_min) * m/M
+    quadratic: t_m = t_min + (t_max - t_min) * (m/M)^2   (denser near 0)
     for m = M..1.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not (0 < t_floor < s):
-        raise ValueError("need 0 < t_floor < s")
     m = np.arange(M, 0, -1, dtype=float)
     if scheme == "uniform":
         frac = m / M
@@ -63,7 +61,7 @@ def make_time_grid(M: int, scheme: str, s: float, t_floor: float) -> TimeGrid:
         frac = (m / M) ** 2
     else:
         raise ValueError(f"unknown grid scheme {scheme!r}")
-    return TimeGrid(times=t_floor + (s - t_floor) * frac)
+    return TimeGrid(times=sched.t_min + (sched.t_max - sched.t_min) * frac)
 
 
 def pf_rhs(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:

@@ -29,7 +29,7 @@ def single_gaussian():
 
 @pytest.fixture
 def grid4(sched):
-    return make_time_grid(4, "quadratic", sched.t_max, sched.t_min)
+    return make_time_grid(4, "quadratic", sched)
 
 
 @pytest.fixture

@@ -57,7 +57,7 @@ def test_criterion_01_constant_trajectory(report):
 def test_criterion_02_gaussian_scaling_law(report):
     s2 = 0.25
     gm = GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], variances=[s2])
-    grid = make_time_grid(6, "quadratic", SCHED.t_max, SCHED.t_min)
+    grid = make_time_grid(6, "quadratic", SCHED)
     x0 = np.random.default_rng(1).standard_normal((32, 2))
     traj = solve_trajectory(gm, SCHED, x0, grid, solver="heun", substeps=256)
     worst = 0.0
@@ -73,7 +73,7 @@ def test_criterion_02_gaussian_scaling_law(report):
 def test_criterion_03_solver_orders(report):
     s2 = 0.25
     gm = GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], variances=[s2])
-    grid = make_time_grid(4, "quadratic", SCHED.t_max, SCHED.t_min)
+    grid = make_time_grid(4, "quadratic", SCHED)
 
     def analytic(x0, t):
         return x0 * _tilde(s2, t) / _tilde(s2, SCHED.t_max)
@@ -132,7 +132,7 @@ def test_criterion_05_spectral_layer_equivalence(report):
 # 6. End-to-end differentiability of the training loss.
 def test_criterion_06_grad_check_full_loss(report):
     cfg = DsnoConfig(d=2, C=16, L=2, J=3, M=4, E=32)
-    grid = make_time_grid(4, "quadratic", SCHED.t_max, SCHED.t_min)
+    grid = make_time_grid(4, "quadratic", SCHED)
     p = init_params(cfg, seed=4)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 2))
@@ -150,7 +150,7 @@ def test_criterion_06_grad_check_full_loss(report):
 #    beat a single-step Euler baseline by 5x RMSE and in distribution.
 @pytest.mark.slow
 def test_criterion_07_end_to_end_distillation(report):
-    grid = make_time_grid(4, "quadratic", SCHED.t_max, SCHED.t_min)
+    grid = make_time_grid(4, "quadratic", SCHED)
     train_ds = generate_dataset(BIMODAL, SCHED, grid, N=50_000, base_seed=0,
                                 substeps=64)
     held = generate_dataset(BIMODAL, SCHED, grid, N=2_000, base_seed=10_000_000,
@@ -203,7 +203,7 @@ def test_criterion_08_resolution_ablation(report):
     for seed in range(3):
         rmses = []
         for M in (2, 4, 8):
-            grid = make_time_grid(M, "quadratic", SCHED.t_max, SCHED.t_min)
+            grid = make_time_grid(M, "quadratic", SCHED)
             ds = generate_dataset(BIMODAL, SCHED, grid, N=256, base_seed=50_000,
                                   substeps=32)
             mc = DsnoConfig(d=2, C=32, L=2, J=M // 2 + 1, M=M, E=32)
@@ -238,7 +238,7 @@ def test_criterion_09_spectrum_compactness(report):
 # 10. Query consistency: grid queries reproduce forward bit-for-bit;
 #     dense queries are finite and the spectral branch stays band-limited.
 def test_criterion_10_query_consistency(report, mode_stacks):
-    grid = make_time_grid(4, "quadratic", SCHED.t_max, SCHED.t_min)
+    grid = make_time_grid(4, "quadratic", SCHED)
     cfg = DsnoConfig()
     p = init_params(cfg, seed=9)
     x = np.random.default_rng(10).standard_normal((4, 2))
@@ -273,7 +273,7 @@ def test_criterion_10_query_consistency(report, mode_stacks):
 
 # 11. Persistence: bit-exact round trips and resume-exact training.
 def test_criterion_11_persistence(report, tmp_path):
-    grid = make_time_grid(4, "quadratic", SCHED.t_max, SCHED.t_min)
+    grid = make_time_grid(4, "quadratic", SCHED)
     ds = generate_dataset(BIMODAL, SCHED, grid, N=64, base_seed=3, substeps=8)
     dpath = tmp_path / "data.bin"
     ds.save(dpath)

@@ -6,6 +6,7 @@ deletion here would otherwise surface only when the benchmark runs.
 """
 import importlib
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -46,6 +47,7 @@ def test_dense_query_runs_the_traced_spectral_ops(monkeypatch):
     # must call each of them once per block
     from flowop import nnops
     from flowop.operator import DsnoConfig, init_params, query_at
+    from flowop.schedule import NoiseSchedule
     from flowop.trajectories import make_time_grid
     names = ("dft_at_positions", "mode_multiply", "idft_at")
     assert set(names) <= set(SPANS.NNOPS)
@@ -56,7 +58,7 @@ def test_dense_query_runs_the_traced_spectral_ops(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(nnops, name, counted)
     cfg = DsnoConfig(d=2, C=8, L=2, J=3, M=4, E=8)
-    grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)
+    grid = make_time_grid(cfg.M, "quadratic", NoiseSchedule())
     q = np.linspace(grid.times[0], grid.times[-1], 2 * cfg.M)
     assert not nnops._dense_spectral_map(q.size, cfg.J)
     query_at(init_params(cfg, seed=0), np.zeros((3, 2)), grid, q)
@@ -142,7 +144,7 @@ def test_traced_methods_keep_their_shape(tmp_path):
     methods = {name: TrajectoryDataset.__dict__[name] for name in ("save", "load")}
     assert isinstance(methods["load"], classmethod)
     ds = generate_dataset(GaussianMixture([1.0], [[0.0, 0.0]], [1.0]), NoiseSchedule(),
-                          make_time_grid(2, "quadratic", 1.0, 1e-3), N=3, base_seed=0,
+                          make_time_grid(2, "quadratic", NoiseSchedule()), N=3, base_seed=0,
                           substeps=1)
     path = tmp_path / "data.bin"
     pred = nnops.param(np.ones((1, 2, 2)))
@@ -163,3 +165,18 @@ def test_traced_methods_keep_their_shape(tmp_path):
     for span in ("trajectories.save", "trajectories.load", "nnops.backward"):
         assert counts[span + ".calls"] == 1, span
     assert counts["trajectories.bytes_written"] == path.stat().st_size
+
+
+def test_sample_reads_a_checkpoint_without_a_setup(tmp_path):
+    # the benchmark's set-up writes its `student` model with
+    # operator.save_checkpoint(path, params) and no extra: `flowop sample`
+    # with the same model section must run on it
+    from flowop import cli
+    from flowop.operator import init_params, save_checkpoint
+    raw = {"model": {"C": 8, "L": 1, "J": 3, "E": 8}, "out_dir": str(tmp_path / "run")}
+    (tmp_path / "c.json").write_text(json.dumps(raw))
+    cfg = cli.parse_config(tmp_path / "c.json")
+    (tmp_path / "run").mkdir()
+    save_checkpoint(tmp_path / "run" / "model.bin", init_params(cfg.model, seed=0))
+    assert cli.run(["sample", "--config", str(tmp_path / "c.json"), "--n", "5"]) == 0
+    assert len((tmp_path / "run" / "samples.tsv").read_text().splitlines()) == 6

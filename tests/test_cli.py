@@ -146,14 +146,14 @@ GOLDEN_RUN = {
     "data.bin": "6fab61a371c517d6ea450356568d4d717a7b31a37f1851568564a14f20d5acc4",
     "run/eval.tsv": "1e7dd1b7f1a7206ae4a8bdb0a1a186763bdf5ec26d489dca1e4fe190802e0dda",
     "run/loss.tsv": "8ae311376d0f673f0a142afa963c96c0cccdddea51ec117320e2f79cffc1e41c",
-    "run/model.bin": "0ba35ce3082056e047f3f6a64c74bbf7f99d658014e4e69f3db0e62c92bdd969",
+    "run/model.bin": "5eeb5ad6a66dcf97b031c6a01e36454f6943afd23a23c53de06ed0f760d6bc36",
     "run/samples.tsv": "806d90acefc415442f5b0b8f6a154a3ec04391a2e7841bf4cf4b493d7ed2528d",
     "run/spectrum.tsv": "dd7a658fc5f0c01d664086b6fe75bef8c318238951c5297cf5d8a9bcbb5afab4",
-    "run/summary_eval.tsv": "c9d1c07522d258a4b87b14d5df6be1652a165610c2ff38e658070ac36a674e18",
-    "run/summary_gen-data.tsv": "7d43837aed38e91196ecc1b09b9816ea46dbfb5f81f91c603cc5cdc08261bf40",
-    "run/summary_sample.tsv": "df9c303be24bbe59c0a73f28f361791bd25dcb126f50e82d46b2a06751b0af5c",
-    "run/summary_spectrum.tsv": "4d87815723f94303823080359f38876397f869c13c32df6ad352af096e865a4c",
-    "run/summary_train.tsv": "ae4c1880f6fe80ce4c08552dc0404acbc32472878c3d588e22a1ca32263e7f9a",
+    "run/summary_eval.tsv": "c2bbcee45483f3ab9c63bf1573431adb7fe3e70b87ffce129dd1c410752abacf",
+    "run/summary_gen-data.tsv": "c4e6d31738c746a5668d2507e42b959b44b19d2999eb2a295b9e35676cb3aa7a",
+    "run/summary_sample.tsv": "6d2e8403a902aff1eb575b78e9112a2fd55344e92241d1bee4c31db333a72f26",
+    "run/summary_spectrum.tsv": "27747c7b5616ee94b993c635a4a016bc65c461a7f2d31902f2d07c575b1878c4",
+    "run/summary_train.tsv": "2e9fe66d33b1a88b19c6b7c069950266a3105818a437d32f393334b1ec8df49b",
 }
 
 
@@ -213,8 +213,36 @@ def test_sample_and_eval_refuse_another_model(tmp_path, capsys, command, change,
     before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
     capsys.readouterr()
     assert run([command, "--config", str(write_config(tmp_path, **change)), "--n", "8"]) == 1
-    assert f"model.bin holds another model: checkpoint has {differs}" in capsys.readouterr().err
+    assert f"model.bin holds another model: {differs}" in capsys.readouterr().err
     assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "eval"])
+@pytest.mark.parametrize("change, differs", [
+    ({"grid": {"scheme": "uniform"}},
+     "grid.times=[1.0, 0.5629375, 0.25075, 0.0634375], this run has [1.0, 0.75025,"),
+    ({"schedule": {"beta_max": 10.0}}, "schedule.beta_max=20.0, this run has 10.0"),
+], ids=["grid-scheme", "schedule-beta_max"])
+def test_train_sample_and_eval_refuse_another_setup(tmp_path, capsys, command, change,
+                                                    differs):
+    # the dataset and the model were made on the default quadratic grid and
+    # schedule: a config with other times or schedule constants exits 1
+    # naming the field, before any write
+    def files():
+        return {f: f.read_bytes() for f in tmp_path.rglob("*")
+                if f.is_file() and f.name != "config.json"}
+
+    cfg_path = write_config(tmp_path)
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    assert run(["train", "--config", str(cfg_path), "--steps", "3"]) == 0
+    before = files()
+    capsys.readouterr()
+    argv = [command, "--config", str(write_config(tmp_path, **change))]
+    assert run(argv + ([] if command == "train" else ["--n", "8"])) == 1
+    holder = "data.bin holds trajectories" if command == "train" else "model.bin holds"
+    err = capsys.readouterr().err
+    assert holder in err and differs in err
+    assert files() == before
 
 
 def test_cli_steps_and_out_overrides(tmp_path):
@@ -357,6 +385,7 @@ def _only_config_left(tmp_path):
     ({"dataset": {"base_seed": -5}}, "config error: dataset: base_seed must be >= 0"),
     ({"training": {"seed": -1}}, "config error: training: seed must be >= 0"),
     ({"model": 5}, "config error: config section model must be an object"),
+    ({"grid": {"s": 2.0}}, "config error: unknown config key 'grid.s'"),
 ])
 @pytest.mark.parametrize("command", ["gen-data", "eval"])
 def test_cli_bad_section_exits_2_before_any_write(tmp_path, capsys, raw, match, command):
@@ -369,19 +398,17 @@ def test_cli_bad_section_exits_2_before_any_write(tmp_path, capsys, raw, match, 
     assert _only_config_left(tmp_path)
 
 
-@pytest.mark.parametrize("raw, s, t_max", [
-    ({"grid": {"s": 2.0}}, "2", "1"),
-    ({"schedule": {"t_max": 0.5}}, "1", "0.5"),
-])
-@pytest.mark.parametrize("command", ["gen-data", "eval"])
-def test_cli_grid_beyond_schedule_exits_2(tmp_path, capsys, raw, s, t_max, command):
-    # the solver would start at t_max and step up to the first grid time
+def test_cli_grid_spans_the_schedule(tmp_path):
+    # the grid's first time is the schedule's t_max, whatever t_max is
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "run")}))
-    assert run([command, "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: grid: s={s} exceeds schedule.t_max={t_max}" in err
-    assert _only_config_left(tmp_path)
+    path.write_text(json.dumps({"schedule": {"t_max": 0.5},
+                                "dataset": {"N": 4, "substeps": 2,
+                                            "path": str(tmp_path / "d.bin")},
+                                "out_dir": str(tmp_path / "run")}))
+    assert run(["gen-data", "--config", str(path)]) == 0
+    ds = TrajectoryDataset.load(tmp_path / "d.bin")
+    assert ds.grid.times[0] == 0.5 and ds.sched.t_max == 0.5
+    assert np.allclose(ds.grid.times, [0.5, 0.2817, 0.1258, 0.0322], atol=1e-4)
 
 
 @pytest.mark.parametrize("n", ["0", "-3", "abc"])

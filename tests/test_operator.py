@@ -185,7 +185,7 @@ def test_training_step_bits_pinned(cfg, rows, want):
     # and the factored (M=8) spectral path; digests taken with float64
     # OpenBLAS 0.3.31 on x86-64, bit-identical to the one-pass graph
     # before inference shared it with the row-block evaluator
-    grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)
+    grid = make_time_grid(cfg.M, "quadratic", NoiseSchedule())
     p = init_params(cfg, seed=21)
     rng = np.random.default_rng(22)
     x = rng.standard_normal((rows, cfg.d))
@@ -209,7 +209,7 @@ def test_inference_bits_pinned(rows, Q, want):
     # (d,) row, and query_at on 256 rows at 64 times (factored path), at the
     # default config; digests taken with float64 OpenBLAS 0.3.31 on x86-64
     cfg = DsnoConfig()
-    grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)
+    grid = make_time_grid(cfg.M, "quadratic", NoiseSchedule())
     p = init_params(cfg, seed=31)
     x = np.random.default_rng(32).standard_normal(cfg.d if rows is None else (rows, cfg.d))
     if Q is None:
@@ -239,7 +239,7 @@ def test_inference_leaves_tape_recording(grid4):
 @pytest.mark.parametrize("call", ["forward", "forward_loss", "query_at"])
 def test_model_refuses_a_grid_of_another_length(call):
     p = init_params(small_config(), seed=0)           # M = 4
-    grid = make_time_grid(8, "quadratic", 1.0, 1e-3)
+    grid = make_time_grid(8, "quadratic", NoiseSchedule())
     x = np.zeros((3, 2))
     calls = {"forward": lambda: forward(p, x, grid),
              "forward_loss": lambda: forward_loss(p, x, grid, np.zeros((3, 8, 2)), np.ones(8)),
@@ -391,8 +391,9 @@ FAULT_PROBE = """
 import json, resource
 import numpy as np
 from flowop.operator import DsnoConfig, forward, init_params, query_at
+from flowop.schedule import NoiseSchedule
 from flowop.trajectories import make_time_grid
-grid = make_time_grid(4, "quadratic", 1.0, 1e-3)
+grid = make_time_grid(4, "quadratic", NoiseSchedule())
 p = init_params(DsnoConfig(), seed=3)
 x = np.random.default_rng(4).standard_normal((4096, 2))
 q = np.linspace(grid.times[0], grid.times[-1], 64)
@@ -495,7 +496,7 @@ def test_checkpoint_bytes_pinned(tmp_path):
 
 
 def _small_dataset(tmp_path):
-    grid = make_time_grid(2, "quadratic", 1.0, 1e-3)
+    grid = make_time_grid(2, "quadratic", NoiseSchedule())
     path = tmp_path / "data.bin"
     generate_dataset(GaussianMixture([1.0], [[0.0, 0.0]], [1.0]), NoiseSchedule(), grid,
                      N=2, base_seed=0, substeps=1, path=path)

@@ -7,7 +7,7 @@ import pytest
 from flowop import nnops
 from flowop.nnops import param
 from flowop.operator import DsnoConfig, forward, forward_loss, init_params
-from flowop.schedule import loss_weight
+from flowop.schedule import NoiseSchedule, loss_weight
 from flowop.trajectories import generate_dataset, make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, adam_step,
                              _batch_indices, eval_trajectory_rmse, grid_weights,
@@ -103,7 +103,7 @@ def test_params_grads_and_adam_state_are_float64(cfg):
     # one number type on the tape: the spectral kernel is held, differentiated
     # and updated as real (Re, Im) pairs, on both spectral paths
     assert nnops._dense_spectral_map(cfg.M, cfg.J) == (cfg.M == 4)
-    grid = make_time_grid(cfg.M, "quadratic", 1.0, 1e-3)
+    grid = make_time_grid(cfg.M, "quadratic", NoiseSchedule())
     p = init_params(cfg, seed=0)
     rng = np.random.default_rng(1)
     loss = forward_loss(p, rng.standard_normal((3, cfg.d)), grid,
@@ -247,6 +247,21 @@ def test_train_checkpoints_into_new_directory(tmp_path, tiny_dataset):
     assert (out / "ckpt_0000004.bin").exists()
 
 
+@pytest.mark.parametrize("every, out, match", [
+    (-1, "run", "checkpoint_every must be >= 0, got -1"),
+    (1, None, "checkpoint_every needs an out_dir"),
+], ids=["negative", "no-out-dir"])
+def test_train_checks_checkpoint_every_before_the_first_step(tmp_path, monkeypatch,
+                                                             tiny_dataset, every, out, match):
+    # -1 would checkpoint after every step, and a period without a directory
+    # would silently write nothing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=match):
+        train(tiny_dataset, tiny_train_config(total_steps=2, warmup_steps=1), TINY_MODEL,
+              out_dir=out, checkpoint_every=every)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_checkpoint_round_trip(tmp_path):
     p = init_params(TINY_MODEL, seed=2)
     st = OptimizerState.fresh(p.tensors())
@@ -318,7 +333,7 @@ def _single_gaussian_analytic(sched, s2):
 
 
 def test_convergence_orders(sched, single_gaussian):
-    grid = make_time_grid(4, "quadratic", sched.t_max, sched.t_min)
+    grid = make_time_grid(4, "quadratic", sched)
     fn = _single_gaussian_analytic(sched, 0.25)
     slope_e, status_e = convergence_order("euler", single_gaussian, sched, grid,
                                           analytic_fn=fn)
@@ -332,7 +347,7 @@ def test_convergence_orders(sched, single_gaussian):
 def test_convergence_exact_path(sched, standard_normal_2d):
     # on the invariant distribution the velocity field vanishes, so every
     # stepper is exact and the fit must report the degenerate status
-    grid = make_time_grid(4, "quadratic", sched.t_max, sched.t_min)
+    grid = make_time_grid(4, "quadratic", sched)
     fn = _single_gaussian_analytic(sched, 1.0)   # identity map
     slope, status = convergence_order("euler", standard_normal_2d, sched,
                                       grid, analytic_fn=fn)

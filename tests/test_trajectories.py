@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from flowop import cli
 from flowop.mixture import GaussianMixture, sample_data
 from flowop import trajectories as traj_mod
-from flowop.schedule import coefficients_at
+from flowop.schedule import NoiseSchedule, coefficients_at
 from flowop.trajectories import (IntegrationDiverged, TimeGrid, TrajectoryDataset,
                                  generate_dataset, make_time_grid, pf_rhs,
                                  solve_trajectory, step_euler, step_exponential,
@@ -28,27 +28,27 @@ def _analytic_single_gaussian(sched, x_T, t, s2):
 # ---------------------------------------------------------------- time grids
 
 def test_quadratic_grid_values():
-    g = make_time_grid(4, "quadratic", 1.0, 1e-12)
+    g = make_time_grid(4, "quadratic", NoiseSchedule(t_min=1e-12))
     assert np.allclose(g.times, [1.0, 0.5625, 0.25, 0.0625], atol=1e-10)
 
 
 def test_uniform_grid_values():
-    g = make_time_grid(4, "uniform", 1.0, 1e-12)
+    g = make_time_grid(4, "uniform", NoiseSchedule(t_min=1e-12))
     assert np.allclose(g.times, [1.0, 0.75, 0.5, 0.25], atol=1e-10)
 
 
 def test_single_point_grid():
-    g = make_time_grid(1, "uniform", 0.8, 1e-3)
+    g = make_time_grid(1, "uniform", NoiseSchedule(t_max=0.8))
     assert g.times.tolist() == [0.8]
 
 
 def test_grid_rejects_bad_args():
     with pytest.raises(ValueError):
-        make_time_grid(0, "uniform", 1.0, 1e-3)
+        make_time_grid(0, "uniform", NoiseSchedule())
     with pytest.raises(ValueError):
-        make_time_grid(4, "uniform", 0.5, 0.5)
+        make_time_grid(4, "uniform", NoiseSchedule(t_max=0.5, t_min=0.5))
     with pytest.raises(ValueError):
-        make_time_grid(4, "cubic", 1.0, 1e-3)
+        make_time_grid(4, "cubic", NoiseSchedule())
     for times, match in (([], "at least one time"), ([0.5, 0.5], "strictly decreasing"),
                          ([0.5, 0.0], "positive")):
         with pytest.raises(ValueError, match=match):
@@ -57,7 +57,7 @@ def test_grid_rejects_bad_args():
 
 def test_grid_descending_in_range(sched):
     for scheme in ("uniform", "quadratic"):
-        g = make_time_grid(7, scheme, 1.0, 1e-3)
+        g = make_time_grid(7, scheme, sched)
         assert np.all(np.diff(g.times) < 0)
         assert g.times[0] <= 1.0 and g.times[-1] > 1e-3
 
@@ -202,7 +202,7 @@ def test_solver_determinism(sched, bimodal, grid4):
 
 
 def test_recorded_rows_match_grid_length(sched, bimodal):
-    g = make_time_grid(6, "uniform", 0.9, 1e-3)
+    g = make_time_grid(6, "uniform", NoiseSchedule(t_max=0.9))
     traj = solve_trajectory(bimodal, sched, np.zeros(2), g, substeps=4)
     assert traj.values.shape == (6, 2)
     assert np.all(np.isfinite(traj.values))
@@ -227,7 +227,7 @@ def test_solver_and_substeps_checked_before_any_step(sched, bimodal, grid4, monk
 
 def test_divergence_reports_time(sched):
     gm = GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], variances=[1.0])
-    g = make_time_grid(2, "uniform", 1.0, 1e-3)
+    g = make_time_grid(2, "uniform", sched)
 
     # force divergence by integrating a deliberately huge state
     with pytest.raises(IntegrationDiverged) as exc, \
