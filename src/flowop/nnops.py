@@ -6,11 +6,20 @@ temporal DFTs with arbitrary-position evaluation, per-mode kernel
 products, the spectral convolution built from them, and a weighted
 l1 loss. Every tensor is float64: a spectral kernel holds interleaved
 (Re, Im) pairs, and mode coefficients hold [Re | Im] columns.
+
+Inside a `workspace()` scope, while the tape records, every array that a
+node's value, a backward rule or a gradient sum needs comes from `empty`,
+which reuses the scope's arrays that nothing refers to any more. A loop
+that drops each pass's graph before it builds the next one therefore
+allocates these arrays in its first pass only. `backward` drops each
+inner node's gradient once its rule has run, so a pass holds the
+gradients of a few nodes at a time besides those of the leaves.
 """
 from __future__ import annotations
 
 import contextlib
 import math
+import sys
 import threading
 
 import numpy as np
@@ -18,9 +27,70 @@ import numpy as np
 
 class _TapeState(threading.local):
     recording = True
+    workspace = None
 
 
 _TAPE = _TapeState()
+
+
+class Workspace:
+    """A pool of arrays, grouped by size and dtype. `take` hands out one that
+    nothing outside the pool refers to any more, else a new one, so no array
+    that something can still read is ever written into.
+
+    New arrays are cut from one block of SLAB bytes while it lasts. Freeing
+    a block of up to 32 MiB (glibc's largest dynamic mmap threshold) makes
+    glibc keep later blocks of its size in the heap, so the next workspace
+    finds its pages mapped already instead of faulting them in again. The
+    block's pages that no array touches are never mapped."""
+
+    SLAB = 32 << 20
+
+    def __init__(self):
+        self._pool: dict[tuple, list[np.ndarray]] = {}
+        self._slab = memoryview(np.empty(self.SLAB, np.uint8))
+        self._used = 0
+
+    def take(self, shape, dtype) -> np.ndarray:
+        shape, dtype = tuple(shape), np.dtype(dtype)
+        size = math.prod(shape)
+        arrays = self._pool.setdefault((size, dtype), [])
+        for i in range(len(arrays)):
+            # a free array is referred to by the list and the argument only:
+            # every view of it refers to it as its base (an array cut from
+            # the block has the block's memoryview as its own base, where
+            # numpy stops collapsing a view's chain of bases)
+            if sys.getrefcount(arrays[i]) == 2:
+                return arrays[i].reshape(shape)
+        lo = -(-self._used // 64) * 64
+        hi = lo + size * dtype.itemsize
+        if hi <= self.SLAB:
+            self._used = hi
+            arrays.append(np.frombuffer(self._slab[lo:hi], dtype))
+        else:
+            arrays.append(np.empty(size, dtype))
+        return arrays[-1].reshape(shape)
+
+
+@contextlib.contextmanager
+def workspace():
+    """Scope whose recorded ops, backward passes and `empty` calls take their
+    arrays from one new Workspace; its arrays are dropped when it ends."""
+    prev = _TAPE.workspace
+    _TAPE.workspace = Workspace()
+    try:
+        yield
+    finally:
+        _TAPE.workspace = prev
+
+
+def empty(shape, dtype=float) -> np.ndarray:
+    """An uninitialised array: from the active workspace while the tape
+    records, else a fresh one."""
+    ws = _TAPE.workspace
+    if ws is None or not _TAPE.recording:
+        return np.empty(shape, dtype)
+    return ws.take(shape, dtype)
 
 
 @contextlib.contextmanager
@@ -66,7 +136,13 @@ class Tensor:
             if node._backward is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._backward(node.grad)):
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if parent.grad is None:
+                    parent.grad = g
+                else:   # into a new array: add's two parents share one g
+                    acc = parent.grad
+                    parent.grad = np.add(acc, g, out=empty(
+                        np.broadcast_shapes(acc.shape, g.shape), np.result_type(acc, g)))
+            node.grad = None    # an inner node's gradient is spent
 
 
 def _postorder(node: Tensor, seen: set, topo: list) -> None:
@@ -89,19 +165,19 @@ def param(value) -> Tensor:
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.sum(g, axis=tuple(range(extra)), out=empty(g.shape[extra:], g.dtype))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.sum(g, axis=axes, keepdims=True, out=empty(shape, g.dtype))
     return g
 
 
 def _result(out, shape, dtype) -> np.ndarray:
-    """The array an op writes its result into: a fresh one, or the caller's
+    """The array an op writes its result into: `empty`'s, or the caller's
     C-contiguous `out`. A recorded node keeps its value for the backward
     pass, so `out` is accepted only while the tape is off."""
     if out is None:
-        return np.empty(shape, dtype)
+        return empty(shape, dtype)
     if _TAPE.recording:
         raise ValueError("out= is only accepted under no_record()")
     if out.shape != tuple(shape) or not out.flags.c_contiguous:
@@ -133,9 +209,10 @@ def affine_pointwise(W: Tensor, b: Tensor, u: Tensor, out=None) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gW = g2.T @ rows
-        gb = g2.sum(axis=0)
-        gu = (g2 @ W.value).reshape(u.value.shape)
+        gW = np.matmul(g2.T, rows, out=empty(W.value.shape))
+        gb = np.sum(g2, axis=0, out=empty(b.value.shape))
+        gu = empty(u.value.shape)
+        np.matmul(g2, W.value, out=gu.reshape(rows.shape))
         return gW, gb, gu
 
     return Tensor(res, (W, b, u), bw)
@@ -150,7 +227,8 @@ def leaky_relu(u: Tensor, slope: float = 0.01, out=None) -> Tensor:
 
     def bw(g):
         # float(): an integer slope would make an integer mask
-        mask = np.maximum(u.value >= 0, float(slope))
+        mask = np.maximum(np.greater_equal(u.value, 0, out=empty(u.value.shape, bool)),
+                          float(slope), out=empty(u.value.shape))
         mask *= g
         return (mask,)
 
@@ -180,10 +258,13 @@ def dft_at_positions(u: Tensor, J: int, positions, M: int) -> Tensor:
     Fs = _re_im_rows(_dft_basis(J, positions, M))             # (2J, Q)
     uv = u.value
     Q, C = uv.shape[-2:]
-    y = (Fs @ uv.reshape(-1, Q, C)).reshape(*uv.shape[:-2], J, 2 * C)
+    y = empty((*uv.shape[:-2], J, 2 * C))
+    np.matmul(Fs, uv.reshape(-1, Q, C), out=y.reshape(-1, 2 * J, C))
 
     def bw(g):
-        return ((Fs.T @ g.reshape(-1, 2 * J, C)).reshape(uv.shape),)
+        gu = empty(uv.shape)
+        np.matmul(Fs.T, g.reshape(-1, 2 * J, C), out=gu.reshape(-1, Q, C))
+        return (gu,)
 
     return Tensor(y, (u,), bw)
 
@@ -206,17 +287,20 @@ def mode_multiply(R: Tensor, u_hat: Tensor, matrix=None) -> Tensor:
         raise ValueError("kernel/coefficient shape mismatch")
     W = _mode_blocks(R.value) if matrix is None else matrix
     x = uv.reshape(-1, J, C2)
-    y = np.empty((x.shape[0], J, 2 * K))
+    y = empty((x.shape[0], J, 2 * K))
     np.matmul(x.transpose(1, 0, 2), W, out=y.transpose(1, 0, 2))
 
     def bw(g):
         gy = g.reshape(-1, J, 2 * K).transpose(1, 0, 2)
-        gx = np.empty_like(x)
+        gx = empty(x.shape)
         np.matmul(gy, W.transpose(0, 2, 1), out=gx.transpose(1, 0, 2))
-        gW = (x.transpose(1, 2, 0) @ gy).reshape(J, 2, -1, 2, K)  # (J, 2, C, 2, K)
-        gR = np.stack([gW[:, 0, :, 0] + gW[:, 1, :, 1],            # grad of Re R^T
-                       gW[:, 0, :, 1] - gW[:, 1, :, 0]], axis=-1)  # grad of Im R^T
-        return gR.transpose(0, 2, 1, 3).reshape(R.value.shape), gx.reshape(uv.shape)
+        gW = np.matmul(x.transpose(1, 2, 0), gy, out=empty((J, C2, 2 * K)))
+        gW = gW.reshape(J, 2, -1, 2, K)                            # (J, 2, C, 2, K)
+        gR = empty(R.value.shape)
+        gRT = gR.reshape(J, K, -1, 2).transpose(0, 2, 1, 3)        # (J, C, K, 2)
+        np.add(gW[:, 0, :, 0], gW[:, 1, :, 1], out=gRT[..., 0])    # grad of Re R^T
+        np.subtract(gW[:, 0, :, 1], gW[:, 1, :, 0], out=gRT[..., 1])  # grad of Im R^T
+        return gR, gx.reshape(uv.shape)
 
     return Tensor(y.reshape(*uv.shape[:-1], 2 * K), (R, u_hat), bw)
 
@@ -244,7 +328,9 @@ def idft_at(u_hat: Tensor, M: int, queries, out=None) -> Tensor:
     np.matmul(Bs.T, uv.reshape(-1, 2 * J, K), out=out.reshape(-1, Q, K))
 
     def bw(g):
-        return ((Bs @ g.reshape(-1, Q, K)).reshape(uv.shape),)
+        gu = empty(uv.shape)
+        np.matmul(Bs, g.reshape(-1, Q, K), out=gu.reshape(-1, 2 * J, K))
+        return (gu,)
 
     return Tensor(out, (u_hat,), bw)
 
@@ -268,13 +354,20 @@ def _pair_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
     return _re_im_rows(np.conj(P)).T
 
 
+def _copy(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of `a` in an `empty` array."""
+    out = empty(a.shape, a.dtype)
+    np.copyto(out, a)
+    return out
+
+
 def _dense_map(Rv: np.ndarray, positions: np.ndarray, M: int) -> np.ndarray:
     """The dense real (Q*C, Q*K) map of spectral_conv for kernel Rv (J, K, 2C)."""
     J, K, C = Rv.shape[0], Rv.shape[1], Rv.shape[2] // 2
     Q = positions.size
-    rows = Rv.reshape(J, K, C, 2).transpose(0, 3, 1, 2).reshape(2 * J, K * C)
-    T = _pair_basis(J, positions, M) @ rows                   # (Q*Q, K*C)
-    return T.reshape(Q, Q, K, C).transpose(0, 3, 1, 2).reshape(Q * C, Q * K)
+    rows = _copy(Rv.reshape(J, K, C, 2).transpose(0, 3, 1, 2)).reshape(2 * J, K * C)
+    T = np.matmul(_pair_basis(J, positions, M), rows, out=empty((Q * Q, K * C)))
+    return _copy(T.reshape(Q, Q, K, C).transpose(0, 3, 1, 2)).reshape(Q * C, Q * K)
 
 
 def spectral_matrix(R: Tensor, positions, M: int) -> np.ndarray:
@@ -314,11 +407,12 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int, matrix=None, out=None
 
     def bw(g):
         g2 = g.reshape(-1, Q * K)
-        gu = (g2 @ T.T).reshape(uv.shape)
-        gT = (rows.T @ g2).reshape(Q, C, Q, K).transpose(0, 2, 3, 1)
-        A = _pair_basis(J, positions, M)
-        gR = (A.T @ gT.reshape(Q * Q, K * C)).reshape(J, 2, K, C)
-        return gR.transpose(0, 2, 3, 1).reshape(Rv.shape), gu
+        gu = empty(uv.shape)
+        np.matmul(g2, T.T, out=gu.reshape(rows.shape))
+        gT = np.matmul(rows.T, g2, out=empty((Q * C, Q * K)))
+        gT = _copy(gT.reshape(Q, C, Q, K).transpose(0, 2, 3, 1)).reshape(Q * Q, K * C)
+        gR = np.matmul(_pair_basis(J, positions, M).T, gT, out=empty((2 * J, K * C)))
+        return _copy(gR.reshape(J, 2, K, C).transpose(0, 2, 3, 1)).reshape(Rv.shape), gu
 
     return Tensor(out, (R, u), bw)
 

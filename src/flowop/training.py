@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import operator
+from . import nnops, operator
 from .nnops import Tensor
 from .operator import DsnoConfig, DsnoParams, forward, forward_loss, init_params
 from .schedule import NoiseSchedule, loss_weight
@@ -80,16 +80,30 @@ class OptimizerState:
 def adam_step(params: list[Tensor], grads: list[np.ndarray],
               state: OptimizerState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> list[Tensor]:
-    """Standard bias-corrected Adam."""
-    state.step += 1
-    t = state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
+    """Standard bias-corrected Adam. Every gradient is checked before any
+    state moves; then the moments and the parameters are updated in place,
+    with their temporaries from `nnops.empty`."""
+    for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in tensor {i}")
-        m = state.m[i] = beta1 * state.m[i] + (1 - beta1) * g
-        v = state.v[i] = beta2 * state.v[i] + (1 - beta2) * g * g
-        upd = (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
-        p.value = p.value - lr * upd
+    state.step += 1
+    t = state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        a, b = nnops.empty(g.shape), nnops.empty(g.shape)
+        np.multiply(g, 1 - beta1, out=a)
+        m *= beta1
+        m += a                                  # beta1 m + (1 - beta1) g
+        np.multiply(g, 1 - beta2, out=a)
+        a *= g
+        v *= beta2
+        v += a                                  # beta2 v + (1 - beta2) g g
+        np.divide(m, 1 - beta1 ** t, out=a)
+        np.divide(v, 1 - beta2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        a *= lr
+        p.value -= a
     return params
 
 
@@ -171,19 +185,26 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
     tensors = params.tensors()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for step in range(start, tc.total_steps):
-        idx = _batch_indices(dataset.N, tc.batch_size, tc.seed, step)
-        loss = forward_loss(params, x_all[idx], grid, y_all[idx], w)
-        if not np.isfinite(loss.value):
-            raise FloatingPointError(f"non-finite loss at step {step}")
-        loss.backward()
-        grads = [np.zeros_like(t.value) if t.grad is None else t.grad for t in tensors]
-        lr = lr_at(tc, step + 1)
-        adam_step(tensors, grads, state, lr, tc.beta1, tc.beta2, tc.eps)
-        curve.append((step, lr, float(loss.value)))
-        if checkpoint_every and (step + 1) % checkpoint_every == 0:
-            save_train_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1:07d}.bin"),
-                                  params, state, tc)
+    # every step records the same graph, so the step's arrays (node values,
+    # gradients, Adam's temporaries) are allocated by the first step only
+    with nnops.workspace():
+        for step in range(start, tc.total_steps):
+            idx = _batch_indices(dataset.N, tc.batch_size, tc.seed, step)
+            loss = forward_loss(params, x_all[idx], grid, y_all[idx], w)
+            if not np.isfinite(loss.value):
+                raise FloatingPointError(f"non-finite loss at step {step}")
+            loss.backward()
+            grads = [np.zeros_like(t.value) if t.grad is None else t.grad for t in tensors]
+            lr = lr_at(tc, step + 1)
+            adam_step(tensors, grads, state, lr, tc.beta1, tc.beta2, tc.eps)
+            curve.append((step, lr, float(loss.value)))
+            # free this step's arrays for the next one
+            loss = grads = None
+            for t in tensors:
+                t.grad = None
+            if checkpoint_every and (step + 1) % checkpoint_every == 0:
+                save_train_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1:07d}.bin"),
+                                      params, state, tc)
     if out_dir:
         write_tsv(os.path.join(out_dir, "loss.tsv"), ("step", "lr", "loss"),
                   ((s, f"{lr:.8g}", f"{lo:.10g}") for s, lr, lo in curve))

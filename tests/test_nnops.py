@@ -4,10 +4,11 @@ import weakref
 import numpy as np
 import pytest
 
+from flowop import nnops
 from flowop.nnops import (Tensor, _dense_spectral_map, _dft_basis, _idft_basis, add,
-                          affine_pointwise, dft_at_positions, idft_at,
+                          affine_pointwise, dft_at_positions, empty, idft_at,
                           leaky_relu, mode_multiply, no_record, param, spectral_conv,
-                          time_embedding, weighted_l1)
+                          time_embedding, weighted_l1, workspace)
 
 from checks import grad_check
 
@@ -269,6 +270,49 @@ def test_out_only_without_tape(name):
             call(np.empty(want.shape[::-1]).T)
     assert got.value is out
     assert out.tobytes() == want.tobytes()
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_workspace_hands_out_only_arrays_nothing_refers_to():
+    # an array is reused once nothing outside the pool refers to it, a view
+    # of it included; one still referred to is never handed out again
+    with workspace():
+        a = empty((4, 3))
+        first = _address(a)
+        view = a.reshape(12)[2:]
+        del a
+        b = empty((3, 4))                 # same size, but `view` holds the first
+        assert _address(b) != first
+        del view
+        c = empty((2, 6))
+        assert _address(c) == first and c.shape == (2, 6)
+        d = empty((12,), bool)            # another dtype is another pool
+        assert not np.shares_memory(d, b) and not np.shares_memory(d, c)
+        with no_record():                 # no tape, no pool
+            del c
+            assert _address(empty((2, 6))) != first
+
+
+def test_workspace_scope_restores_on_error():
+    with pytest.raises(RuntimeError):
+        with workspace():
+            assert nnops._TAPE.workspace is not None
+            raise RuntimeError("inside the scope")
+    assert nnops._TAPE.workspace is None
+
+
+def test_backward_drops_inner_gradients():
+    # an inner node's gradient is spent once its rule has run; the leaves
+    # keep theirs
+    a = param(np.array([1.0, 2.0]))
+    h = add(a, a)
+    loss = sum_squares(h)
+    loss.backward()
+    assert h.grad is None and loss.grad is None
+    assert np.array_equal(a.grad, 4 * h.value)
 
 
 def test_time_embedding_structure():

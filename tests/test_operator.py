@@ -329,13 +329,9 @@ def test_dense_query_preserves_band_limited_modes(grid4, mode_stacks):
         assert np.max(np.abs(fine[cfg.J:M2 - cfg.J + 1])) < 1e-10
 
 
-def test_query_midpoint_is_trigonometric_interpolant(grid4):
-    # a query halfway (in index space) between grid knots equals the
-    # analytic one-sided interpolant built from the final-layer output
-    cfg = small_config(L=1)
-    p = init_params(cfg, seed=13)
-    x = np.random.default_rng(14).standard_normal(2)
-    # index position 0.5 maps to the time halfway between times[0], times[1]
+def test_query_positions_map_the_midpoint_time_to_half(grid4):
+    # query_positions is linear between grid knots: the time halfway
+    # between times[0] and times[1] sits at index position 0.5
     t_half = 0.5 * (grid4.times[0] + grid4.times[1])
     pos = query_positions(grid4, [t_half])
     assert pos[0] == pytest.approx(0.5, abs=1e-12)

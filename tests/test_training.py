@@ -1,14 +1,20 @@
 import dataclasses
+import json
 import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowop import nnops
+from flowop import nnops, training
 from flowop.nnops import param
 from flowop.operator import DsnoConfig, forward, forward_loss, init_params
 from flowop.schedule import NoiseSchedule, loss_weight
-from flowop.trajectories import generate_dataset, make_time_grid
+from flowop.trajectories import TrajectoryDataset, generate_dataset, make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, adam_step,
                              _batch_indices, eval_trajectory_rmse, grid_weights,
                              load_train_checkpoint, lr_at,
@@ -122,6 +128,48 @@ def test_adam_rejects_non_finite_gradient():
     st = OptimizerState.fresh([p])
     with pytest.raises(FloatingPointError):
         adam_step([p], [np.array([np.nan])], st, lr=0.1)
+
+
+def test_adam_checks_every_gradient_before_moving_any_state():
+    # a NaN in the last gradient must leave the earlier tensors, both
+    # moments and the step count as they were
+    params = [param(np.array([1.0, -1.0])), param(np.array([2.0]))]
+    st = OptimizerState.fresh(params)
+    adam_step(params, [np.array([0.5, 0.25]), np.array([1.0])], st, lr=0.1)
+    before = [a.copy() for a in [p.value for p in params] + st.m + st.v]
+    with pytest.raises(FloatingPointError, match="tensor 1"):
+        adam_step(params, [np.array([0.5, 0.25]), np.array([np.nan])], st, lr=0.1)
+    after = [p.value for p in params] + st.m + st.v
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert st.step == 1
+
+
+@pytest.mark.parametrize("cfg", [DsnoConfig(d=2, C=4, L=2, J=3, M=4, E=8),
+                                 DsnoConfig(d=2, C=4, L=2, J=5, M=8, E=8)],
+                         ids=["dense", "factored"])
+def test_workspace_passes_match_fresh_arrays(cfg):
+    # each pass in one workspace reuses the arrays the last pass let go;
+    # its loss and gradients must equal those of a pass on fresh arrays,
+    # bit for bit, on both spectral paths
+    grid = make_time_grid(cfg.M, "quadratic", NoiseSchedule())
+    p = init_params(cfg, seed=5)
+    rng = np.random.default_rng(6)
+    batches = [(rng.standard_normal((5, cfg.d)), rng.standard_normal((5, cfg.M, cfg.d)))
+               for _ in range(3)]
+
+    def step(x, y):
+        loss = forward_loss(p, x, grid, y, np.ones(cfg.M))
+        loss.backward()
+        out = [loss.value.copy()] + [t.grad.copy() for t in p.tensors()]
+        for t in p.tensors():
+            t.grad = None
+        return out
+
+    want = [step(x, y) for x, y in batches]
+    with nnops.workspace():
+        got = [step(x, y) for x, y in batches]
+    for w, g in zip(want, got):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(w, g))
 
 
 def test_batch_indices_cover_epoch():
@@ -260,6 +308,96 @@ def test_train_checks_checkpoint_every_before_the_first_step(tmp_path, monkeypat
         train(tiny_dataset, tiny_train_config(total_steps=2, warmup_steps=1), TINY_MODEL,
               out_dir=out, checkpoint_every=every)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_steps_reuse_the_first_steps_arrays(monkeypatch):
+    # default model at B=256: after the first step, no step's traced memory
+    # may rise by one (B, Q, C) float64 array (512 KiB) above its starting
+    # level; a step that allocates its graph afresh rises by the whole graph.
+    # train reads only the dataset's shapes, grid and schedule
+    cfg, sched = DsnoConfig(), NoiseSchedule()
+    rng = np.random.default_rng(7)
+    ds = TrajectoryDataset(sched, make_time_grid(cfg.M, "quadratic", sched),
+                           rng.standard_normal((512, cfg.d)).astype(np.float32),
+                           rng.standard_normal((512, cfg.M, cfg.d)).astype(np.float32))
+    starts, rises = [], []
+
+    def hooked(*args, fn=training._batch_indices):
+        if starts:
+            rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return fn(*args)
+
+    monkeypatch.setattr(training, "_batch_indices", hooked)
+    tracemalloc.start()
+    try:
+        res = train(ds, TrainConfig(batch_size=256, total_steps=5, warmup_steps=1), cfg)
+        rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 5
+    assert max(rises[1:]) < 256 * cfg.M * cfg.C * 8, rises
+    assert all(t.grad is None for t in res.params.tensors())
+    assert nnops._TAPE.workspace is None
+
+
+TRAIN_FAULT_PROBE = """
+import copy, json, resource, tracemalloc
+import numpy as np
+from flowop import training
+from flowop.operator import DsnoConfig, init_params
+from flowop.schedule import NoiseSchedule
+from flowop.trajectories import TrajectoryDataset, make_time_grid
+cfg, sched = DsnoConfig(), NoiseSchedule()
+rng = np.random.default_rng(7)
+ds = TrajectoryDataset(sched, make_time_grid(cfg.M, "quadratic", sched),
+                       rng.standard_normal((512, cfg.d)).astype(np.float32),
+                       rng.standard_normal((512, cfg.M, cfg.d)).astype(np.float32))
+tc = training.TrainConfig(batch_size=256, total_steps=8, warmup_steps=1)
+faults, batch_indices = [], training._batch_indices
+
+def hooked(*args):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return batch_indices(*args)
+
+training._batch_indices = hooked
+training.train(ds, tc, cfg)
+faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+training._batch_indices = batch_indices
+# a second call in the same process: all it leaves behind is its result
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+result = training.train(ds, tc, cfg)
+left = tracemalloc.get_traced_memory()[0] - base
+# the result's size: params of the same config, drawn afresh, and a curve
+base = tracemalloc.get_traced_memory()[0]
+twin = init_params(cfg, seed=0), copy.deepcopy(result.loss_curve)
+size = tracemalloc.get_traced_memory()[0] - base
+print(json.dumps([np.diff(faults).tolist(), left, size]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="page-fault counts follow glibc's allocator")
+def test_train_steps_do_not_fault_and_leave_only_their_result():
+    # in a fresh process, steps 2..8 of one call of the default model at
+    # B=256 run in the arrays the first step faulted in. They took 1 to
+    # 4613 minor faults each (most about 350) while every step allocated
+    # its graph afresh, and take 0 to 13 now; 100 lies between the two.
+    # A second call may leave behind no more traced memory than its result
+    # (params and loss curve) takes, give or take 64 KiB for the free lists
+    # of the interpreter and numpy: the last step's parameter gradients
+    # alone take 1.1 MB, one (B, Q, C) array 512 KiB
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", TRAIN_FAULT_PROBE], env=env,
+                         check=True, capture_output=True, text=True, timeout=300).stdout
+    steps, left, size = json.loads(out.splitlines()[-1])
+    assert len(steps) == 8 and max(steps[1:]) <= 100, steps
+    assert left <= size + 64 * 1024, (left, size)
 
 
 def test_train_checkpoint_round_trip(tmp_path):
