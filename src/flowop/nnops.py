@@ -38,11 +38,11 @@ class Workspace:
     nothing outside the pool refers to any more, else a new one, so no array
     that something can still read is ever written into.
 
-    New arrays are cut from one block of SLAB bytes while it lasts. Freeing
-    a block of up to 32 MiB (glibc's largest dynamic mmap threshold) makes
-    glibc keep later blocks of its size in the heap, so the next workspace
-    finds its pages mapped already instead of faulting them in again. The
-    block's pages that no array touches are never mapped."""
+    New arrays are cut from one block of SLAB bytes while it lasts. The
+    block is just over glibc's 32 MiB cap on its dynamic mmap threshold, so
+    each workspace maps it afresh and leaves the heap's thresholds as they
+    were; it faults in only the pages its arrays touch, in few faults since
+    numpy asks for huge pages on blocks of 4 MiB or more."""
 
     SLAB = 32 << 20
 

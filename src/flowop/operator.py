@@ -26,15 +26,14 @@ class DsnoConfig:
     J: int = 3
     M: int = 4
     E: int = 32
-    slope: float = 0.01
 
     def __post_init__(self):
         if min(self.d, self.C, self.L, self.J, self.M, self.E) < 1:
             raise ValueError("all config sizes must be positive")
         if self.J > self.M // 2 + 1:
             raise ValueError(f"J={self.J} exceeds M//2+1={self.M // 2 + 1}")
-        if not 0 <= self.slope < 1:
-            raise ValueError(f"slope={self.slope} must satisfy 0 <= slope < 1")
+        if self.E % 2:
+            raise ValueError(f"E={self.E} must be even and >= 2")
 
 
 @dataclass
@@ -121,11 +120,11 @@ def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
     for blk, (e, matrix) in zip(params.blocks, plan):
         u = nnops.add(u, e, out=a)
         h = nnops.affine_pointwise(blk.W1, blk.b1, u, out=b)
-        t1 = nnops.leaky_relu(h, cfg.slope, out=c)
+        t1 = nnops.leaky_relu(h, out=c)
         t2 = nnops.affine_pointwise(blk.W2, blk.b2, t1, out=b)
         u = nnops.add(u, t2, out=a)
         k = nnops.spectral_conv(blk.kernel, u, positions, cfg.M, matrix=matrix, out=b)
-        u = nnops.add(u, nnops.leaky_relu(k, cfg.slope, out=c), out=a)
+        u = nnops.add(u, nnops.leaky_relu(k, out=c), out=a)
     return nnops.affine_pointwise(params.proj_W, params.proj_b, u, out=out)
 
 

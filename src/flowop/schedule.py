@@ -20,10 +20,11 @@ class NoiseSchedule:
     t_min: float = 1e-3
 
     def __post_init__(self):
-        if not (0 < self.beta_min <= self.beta_max):
-            raise ValueError("need 0 < beta_min <= beta_max")
-        if not (0 < self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
+        # a NaN fails every comparison
+        if not (0 < self.beta_min <= self.beta_max < math.inf):
+            raise ValueError("need 0 < beta_min <= beta_max < inf")
+        if not (0 < self.t_min < self.t_max < math.inf):
+            raise ValueError("need 0 < t_min < t_max < inf")
 
     def _check_time(self, t: float) -> None:
         if not (0.0 <= t <= self.t_max):
@@ -54,17 +55,14 @@ class ScheduleCoeffs:
     alpha: float
     sigma: float
     h: float
-    g: float
 
 
 def coefficients_at(sched: NoiseSchedule, t: float) -> ScheduleCoeffs:
-    """Drift/diffusion coefficients and noise scales at time t.
-
-    h = -beta/2 (affine drift factor), g = sqrt(beta).
-    """
+    """Drift coefficients and noise scales at time t; h = -beta/2 is the
+    affine drift factor."""
     b = sched.beta(t)
     a = sched.alpha(t)
-    return ScheduleCoeffs(beta=b, alpha=a, sigma=sched.sigma(t), h=-0.5 * b, g=math.sqrt(b))
+    return ScheduleCoeffs(beta=b, alpha=a, sigma=sched.sigma(t), h=-0.5 * b)
 
 
 def loss_weight(sched: NoiseSchedule, t: float) -> float:

@@ -20,15 +20,14 @@ class TrainConfig:
     total_steps: int = 20000
     base_lr: float = 2e-4
     warmup_steps: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weighting: str = "snr_sqrt"  # "uniform" | "snr_sqrt"
     seed: int = 0
 
     def __post_init__(self):
         if min(self.batch_size, self.total_steps, self.warmup_steps) < 1:
             raise ValueError("batch size, steps and warmup must be positive")
+        if not 0 < self.base_lr < np.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup exceeds total steps")
         if self.weighting not in ("uniform", "snr_sqrt"):
@@ -196,7 +195,7 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
             loss.backward()
             grads = [np.zeros_like(t.value) if t.grad is None else t.grad for t in tensors]
             lr = lr_at(tc, step + 1)
-            adam_step(tensors, grads, state, lr, tc.beta1, tc.beta2, tc.eps)
+            adam_step(tensors, grads, state, lr)
             curve.append((step, lr, float(loss.value)))
             # free this step's arrays for the next one
             loss = grads = None

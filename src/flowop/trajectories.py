@@ -35,6 +35,8 @@ class TimeGrid:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         if self.times.ndim != 1 or self.times.size < 1:
             raise ValueError("grid needs at least one time")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("grid times must be finite")
         if np.any(np.diff(self.times) >= 0):
             raise ValueError("grid times must be strictly decreasing")
         if self.times[-1] <= 0:
@@ -101,9 +103,7 @@ class IntegrationDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    x_T: np.ndarray       # (d,) or (n, d) initial condition(s)
     values: np.ndarray    # (M, d) or (n, M, d)
-    grid: TimeGrid
 
 
 SOLVERS = ("euler", "heun", "exponential")
@@ -150,8 +150,7 @@ def solve_trajectory(gm: GaussianMixture, sched: NoiseSchedule, x_T,
         x = _advance(gm, sched, x, t, tm, solver, substeps)
         rows.append(x.copy())
         t = tm
-    values = np.stack(rows, axis=-2)
-    return Trajectory(x_T=np.array(x_T, dtype=float), values=values, grid=grid)
+    return Trajectory(values=np.stack(rows, axis=-2))
 
 
 @contextlib.contextmanager
@@ -178,7 +177,7 @@ def write_tsv(path, header, rows) -> None:
             f.write(("\t".join(map(str, row)) + "\n").encode())
 
 
-_CKPT_MAGIC = b"FOP2"
+_CKPT_MAGIC = b"FOP3"
 
 
 def _checksum(data) -> bytes:
@@ -186,7 +185,7 @@ def _checksum(data) -> bytes:
 
 
 def write_container(path, header: dict, arrays, layout) -> None:
-    """The checkpoint format: magic `FOP2`, u64 header length, canonical
+    """The checkpoint format: magic `FOP3`, u64 header length, canonical
     JSON header, each array cast to the (dtype, shape) `layout(header)`
     gives it, in C order, then the checksum of everything before it: the
     first 8 bytes of its sha256. Written through `atomic_open`. An array

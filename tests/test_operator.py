@@ -17,7 +17,8 @@ from flowop.operator import (DsnoConfig, DsnoParams, forward, forward_loss, init
                              load_checkpoint, query_at, query_positions,
                              save_checkpoint)
 from flowop.schedule import NoiseSchedule
-from flowop.trajectories import TrajectoryDataset, generate_dataset, make_time_grid
+from flowop.trajectories import (_CKPT_MAGIC, TrajectoryDataset, generate_dataset,
+                                 make_time_grid)
 from flowop.training import (OptimizerState, TrainConfig, load_train_checkpoint,
                              save_train_checkpoint)
 
@@ -80,10 +81,11 @@ def test_config_validation():
         DsnoConfig(M=4, J=4)
     with pytest.raises(ValueError):
         DsnoConfig(C=0)
-    for slope in (-0.1, 1.0, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="slope"):
-            DsnoConfig(slope=slope)
-    DsnoConfig(slope=0.0)
+    # time_embedding takes only an even width
+    for E in (1, 3, 33):
+        with pytest.raises(ValueError, match=f"E={E} must be even and >= 2"):
+            DsnoConfig(E=E)
+    DsnoConfig(E=2)
 
 
 def test_param_count_matches_walker():
@@ -135,7 +137,7 @@ def test_temporal_conv_shortcut_identity():
         u = param(np.random.default_rng(1).standard_normal((3, Q, cfg.C)))
         k = spectral_conv(R, u, np.linspace(0, cfg.M - 1, Q), cfg.M)
         assert np.array_equal(k.value, np.zeros_like(u.value))
-        assert np.array_equal(add(u, leaky_relu(k, cfg.slope)).value, u.value)
+        assert np.array_equal(add(u, leaky_relu(k)).value, u.value)
 
 
 # ------------------------------------------------------------------- forward
@@ -482,13 +484,12 @@ def _numbered_checkpoints(tmp_path):
 
 
 def test_checkpoint_bytes_pinned(tmp_path):
-    # the on-disk format of both checkpoint kinds, byte for byte; FOP2
-    # differs from FOP1 only in its magic and in the checksum's span
+    # the on-disk format of both checkpoint kinds, byte for byte
     model, trained = _numbered_checkpoints(tmp_path)
     assert hashlib.sha256(model.read_bytes()).hexdigest() == (
-        "1e61c03353347bd34812249e8c96d8b5c4c44a38cdd3ea03aeb6c55e9f0f6c26")
+        "a669712f37070f541f6b07ac6cc46c26726e84bf91f064d3aed5aa41ca889847")
     assert hashlib.sha256(trained.read_bytes()).hexdigest() == (
-        "3ee63dbb0ccadc0c85556d551f81e49f38ec29ef794e1b7f49cc0c33a1cb400a")
+        "6f22ed8ad277bbee72e38bb2e81eb8cb9c8c3bb94d802e1cf1c8b1ae5e4ab4bc")
 
 
 def _small_dataset(tmp_path):
@@ -509,7 +510,7 @@ def test_checkpoint_truncated_at_every_length(tmp_path):
                 with pytest.raises(ValueError):
                     load(cut)
     # a header length that runs past the end, under a valid checksum
-    cut.write_bytes(_with_checksum(b"FOP2" + (100).to_bytes(8, "little") + b"{}"))
+    cut.write_bytes(_with_checksum(_CKPT_MAGIC + (100).to_bytes(8, "little") + b"{}"))
     for load in (load_checkpoint, load_train_checkpoint):
         with pytest.raises(ValueError, match="truncated inside its header"):
             load(cut)
@@ -542,7 +543,7 @@ def test_checkpoint_bad_header_refused(tmp_path, header):
     # KeyError or TypeError of building the config from it; the files carry
     # a valid checksum, so they reach the header parse
     path = tmp_path / "bad.bin"
-    path.write_bytes(_with_checksum(b"FOP2" + len(header).to_bytes(8, "little") + header))
+    path.write_bytes(_with_checksum(_CKPT_MAGIC + len(header).to_bytes(8, "little") + header))
     for load in (load_checkpoint, load_train_checkpoint):
         with pytest.raises(ValueError, match="bad checkpoint header"):
             load(path)
@@ -550,18 +551,22 @@ def test_checkpoint_bad_header_refused(tmp_path, header):
 
 def test_checkpoint_header_under_checksum(tmp_path):
     # an edit to the header that still parses is refused, and so is a file
-    # of the previous format, FOP1, whose checksum covered the payload only
+    # of an earlier format: FOP1, whose checksum covered the payload only,
+    # and FOP2, whose header held keys that are now constants
     model, trained = _numbered_checkpoints(tmp_path)
     for path, load in ((model, load_checkpoint), (trained, load_train_checkpoint)):
         raw = path.read_bytes()
-        assert raw.count(b'"slope":0.01') == 1
-        path.write_bytes(raw.replace(b'"slope":0.01', b'"slope":0.02'))
+        assert raw.count(b'"E":2') == 1
+        path.write_bytes(raw.replace(b'"E":2', b'"E":4'))
         with pytest.raises(ValueError, match="checksum mismatch"):
             load(path)
         body = raw[4:-8]
         payload = body[8 + int.from_bytes(body[:8], "little"):]
         path.write_bytes(b"FOP1" + body + hashlib.sha256(payload).digest()[:8])
-        with pytest.raises(ValueError, match="magic b'FOP1', expected b'FOP2'"):
+        with pytest.raises(ValueError, match=f"magic b'FOP1', expected {_CKPT_MAGIC!r}"):
+            load(path)
+        path.write_bytes(_with_checksum(b"FOP2" + body))
+        with pytest.raises(ValueError, match=f"magic b'FOP2', expected {_CKPT_MAGIC!r}"):
             load(path)
 
 

@@ -31,7 +31,6 @@ def test_normalization_at_random_times(sched):
     for t in rng.uniform(0, 1, 10_000):
         c = coefficients_at(sched, t)
         assert abs(c.alpha**2 + c.sigma**2 - 1.0) <= 1e-12
-        assert abs(c.g**2 - c.beta) <= 1e-12
         assert c.h == -0.5 * c.beta
 
 
@@ -106,3 +105,7 @@ def test_invalid_schedule_params():
         NoiseSchedule(beta_min=2.0, beta_max=1.0)
     with pytest.raises(ValueError):
         NoiseSchedule(t_min=0.0)
+    for field in ("beta_min", "beta_max", "t_min", "t_max"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="< inf"):
+                NoiseSchedule(**{field: value})

@@ -90,6 +90,9 @@ def test_train_config_validation():
         tiny_train_config(warmup_steps=10, total_steps=5)
     with pytest.raises(ValueError):
         tiny_train_config(weighting="snr")
+    for lr in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="base_lr must be positive and finite"):
+            tiny_train_config(base_lr=lr)
 
 
 def test_adam_first_step_is_signed_lr():

@@ -53,6 +53,11 @@ def test_grid_rejects_bad_args():
                          ([0.5, 0.0], "positive")):
         with pytest.raises(ValueError, match=match):
             TimeGrid(times=np.array(times))
+    # np.diff gives NaN next to a NaN and -inf next to an inf, neither of
+    # which reads as "not decreasing"
+    for times in ([np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="grid times must be finite"):
+            TimeGrid(times=np.array(times))
 
 
 def test_grid_descending_in_range(sched):
