@@ -111,6 +111,10 @@ class ExperimentConfig:
                 raise ValueError("N must be >= 1")
             if self.dataset["base_seed"] < 0:
                 raise ValueError(f"base_seed must be >= 0, got {self.dataset['base_seed']}")
+            if not self.dataset["path"]:
+                raise ValueError("path must not be empty")
+        if not cfg["out_dir"]:
+            raise ConfigError("out_dir must not be empty")
         self.out_dir = cfg["out_dir"]
 
     def flat_items(self):

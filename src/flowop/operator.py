@@ -9,6 +9,8 @@ at arbitrary query times.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -132,8 +134,19 @@ def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
 # equal to within one row, so each affine GEMM keeps about _BLOCK / 2 rows
 # or more. With fewer (about 600 for the (C, d) projection; OpenBLAS 0.3.31,
 # x86-64) BLAS takes another kernel and the rows differ in the last bit
-# from one pass; 1024 did at 257 rows (see CHANGES.md).
-_BLOCK = 2048
+# from one pass; 1024 did at 257 rows (see CHANGES.md). The blocks do not
+# depend on the worker count, so neither do the bits. Each worker holds
+# one block's three (rows, Q, C) work arrays, 1.9 MiB at C=64; two of them
+# stay near the 3 MiB that one 2048-row-time block held.
+_BLOCK = 1280
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call off Linux
+        return os.cpu_count() or 1
 
 
 def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -144,6 +157,11 @@ def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) ->
     the rows then run in blocks whose every (rows, Q, ·) result lands in the
     work arrays or the output, so a call allocates the same few arrays at
     any row count and does not page-fault a working set that grows with it.
+    The blocks are dealt out in turn to min(_cpus(), blocks) workers, the
+    caller one of them: each runs its share in its own work arrays and
+    writes only its blocks' rows of the output, so the workers share no
+    state that any of them writes. BLAS and numpy's loops release the GIL,
+    so the workers run on as many cores.
     """
     cfg = params.config
     x = np.asarray(x_T, dtype=float)
@@ -153,16 +171,34 @@ def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) ->
     n, Q = rows.shape[0], positions.size
     nblocks = max(1, -(-n // max(1, _BLOCK // Q)))
     edges = [n * i // nblocks for i in range(nblocks + 1)]
+    blocks = list(zip(edges, edges[1:]))
+    nworkers = min(_cpus(), nblocks)
     y = np.empty((n, Q, cfg.d))
     # one allocation: freeing it sets glibc's dynamic mmap threshold to its
     # size and the trim threshold to twice that, so later calls take it from
     # the heap and keep it there instead of page-faulting it in again
-    work = np.empty((3, -(-n // nblocks), Q, cfg.C))
+    work = np.empty((nworkers, 3, -(-n // nblocks), Q, cfg.C))
     with nnops.no_record():
         plan = _plan(params, times, positions)
-        for lo, hi in zip(edges, edges[1:]):
-            _forward_graph(params, rows[lo:hi], positions, plan,
-                           [w[:hi - lo] for w in work], y[lo:hi])
+    errors = []
+
+    def run(k):
+        try:
+            with nnops.no_record():     # the tape's state is per thread
+                for lo, hi in blocks[k::nworkers]:
+                    _forward_graph(params, rows[lo:hi], positions, plan,
+                                   [w[:hi - lo] for w in work[k]], y[lo:hi])
+        except BaseException as e:      # raised in the caller once all have joined
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, nworkers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     return y[0] if x.ndim == 1 else y
 
 

@@ -1,9 +1,21 @@
+import threading
+
 import numpy as np
 import pytest
 
 from flowop import GaussianMixture, NoiseSchedule, make_time_grid
 
 from checks import default_bimodal
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fails a test that leaves running a thread it did not start with: a
+    worker that outlives its call could still write into its output."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    assert not leaked, f"threads left running: {leaked}"
 
 
 @pytest.fixture

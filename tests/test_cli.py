@@ -386,13 +386,16 @@ def _only_config_left(tmp_path):
     ({"training": {"beta1": 0.9}}, "config error: unknown config key 'training.beta1'"),
     ({"training": {"beta2": 0.999}}, "config error: unknown config key 'training.beta2'"),
     ({"training": {"eps": 1e-8}}, "config error: unknown config key 'training.eps'"),
+    # an empty path would fail only at the first write, after the solve
+    ({"dataset": {"N": 4, "path": ""}}, "config error: dataset: path must not be empty"),
+    ({"out_dir": ""}, "config error: out_dir must not be empty"),
 ])
 @pytest.mark.parametrize("command", ["gen-data", "eval"])
 def test_cli_bad_section_exits_2_before_any_write(tmp_path, capsys, raw, match, command):
     # rejected while the config is read: eval would otherwise fail only
     # after loading a checkpoint, and gen-data only after solving
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "run")}))
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **raw}))
     assert run([command, "--config", str(path)]) == 2
     assert re.search(match, capsys.readouterr().err)
     assert _only_config_left(tmp_path)

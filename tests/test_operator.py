@@ -4,13 +4,14 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowop import operator
+from flowop import nnops, operator
 from flowop.mixture import GaussianMixture
 from flowop.nnops import add, idft_at, leaky_relu, no_record, param, spectral_conv
 from flowop.operator import (DsnoConfig, DsnoParams, forward, forward_loss, init_params,
@@ -350,8 +351,7 @@ def unblocked_inference(params, x, times, positions):
     return y[0] if np.ndim(x) == 1 else y
 
 
-@pytest.mark.parametrize("Q", [4, 64])
-def test_blocked_inference_matches_one_pass(grid4, Q):
+def check_blocks_match_one_pass(grid4, Q):
     # default model; row counts around one block, and the benchmark's
     # shapes: no block may be small enough for BLAS to change kernels
     p = init_params(DsnoConfig(), seed=23)
@@ -367,9 +367,65 @@ def test_blocked_inference_matches_one_pass(grid4, Q):
             assert np.array_equal(forward(p, xs, grid4), want)
 
 
-def test_inference_memory_does_not_grow_with_rows(grid4):
-    # the work arrays and the plan are sized by the block, not by the call:
-    # 8x the rows add only their own output
+@pytest.mark.parametrize("Q", [4, 64])
+def test_blocked_inference_matches_one_pass(grid4, Q):
+    check_blocks_match_one_pass(grid4, Q)
+
+
+@pytest.mark.parametrize("Q", [4, 64])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_count_changes_no_bits(grid4, monkeypatch, workers, Q):
+    # the row blocks do not depend on how many workers share them out; a
+    # short switch interval interleaves the workers' Python code finely
+    monkeypatch.setattr(operator, "_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        check_blocks_match_one_pass(grid4, Q)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["block0", "block2", "every"])
+@pytest.mark.parametrize("call", ["forward", "query_at"])
+def test_block_error_reaches_the_caller(grid4, monkeypatch, call, failing):
+    # an error in any block, the caller's or a worker's, is raised by the
+    # call once every worker has ended; the tape still records afterwards.
+    # 4096 rows make 13 blocks of 315 or 316 rows, dealt out in turn to 3
+    # workers: block 0 is the caller's, block 2 the third worker's
+    monkeypatch.setattr(operator, "_cpus", lambda: 3)
+    p = init_params(small_config(), seed=29)
+    x = np.random.default_rng(30).standard_normal((4096, 2))
+    marked = {"block0": x[:1], "block2": x[700:701], "every": x}[failing]
+    graph = operator._forward_graph
+
+    def raising(params, rows, *args):
+        if np.any((rows[:, None] == marked).all(axis=-1)):
+            raise BlockFailed(failing)
+        return graph(params, rows, *args)
+
+    calls = {"forward": lambda: forward(p, x, grid4),
+             "query_at": lambda: query_at(p, x, grid4, grid4.times)}
+    threads = threading.active_count()
+    want = calls[call]()
+    assert threading.active_count() == threads
+    monkeypatch.setattr(operator, "_forward_graph", raising)
+    with pytest.raises(BlockFailed, match=failing):
+        calls[call]()
+    assert threading.active_count() == threads
+    assert nnops._TAPE.recording
+    monkeypatch.setattr(operator, "_forward_graph", graph)
+    assert np.array_equal(calls[call](), want)
+
+
+def test_inference_memory_does_not_grow_with_rows(grid4, monkeypatch):
+    # the work arrays and the plan are sized by the block and the worker
+    # count, not by the call: 8x the rows add only their own output
+    monkeypatch.setattr(operator, "_cpus", lambda: 3)
     p = init_params(DsnoConfig(), seed=25)
     x = np.random.default_rng(26).standard_normal((16384, 2))
 
