@@ -1,6 +1,16 @@
 """Desk-scale lab for distilling probability-flow ODE trajectories of a
 Gaussian-mixture diffusion into a one-call Fourier temporal operator."""
 
+import os as _os
+
+# One BLAS thread unless the caller chose otherwise: inference runs its row
+# blocks on every CPU itself, and each block's BLAS threads would contend
+# with the other blocks for the cores. This takes effect only when numpy
+# loads after flowop, as under the `flowop` command.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .schedule import NoiseSchedule, ScheduleCoeffs, coefficients_at, loss_weight
 from .mixture import GaussianMixture, epsilon_hat, marginal_params, sample_data, score
 from .trajectories import (TimeGrid, Trajectory, TrajectoryDataset, generate_dataset,

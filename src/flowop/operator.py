@@ -10,7 +10,7 @@ at arbitrary query times.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -139,6 +139,11 @@ def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
 # one block's three (rows, Q, C) work arrays, 1.9 MiB at C=64; two of them
 # stay near the 3 MiB that one 2048-row-time block held.
 _BLOCK = 1280
+# The workers' work arrays together stay within _WORK_BYTES at any row and
+# CPU count (8 workers at C=64), which keeps them below glibc's 32 MiB cap
+# on its dynamic mmap threshold; one worker's arrays alone may exceed it
+# at a large C.
+_WORK_BYTES = 16 * 2**20
 
 
 def _cpus() -> int:
@@ -157,10 +162,11 @@ def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) ->
     the rows then run in blocks whose every (rows, Q, ·) result lands in the
     work arrays or the output, so a call allocates the same few arrays at
     any row count and does not page-fault a working set that grows with it.
-    The blocks are dealt out in turn to min(_cpus(), blocks) workers, the
-    caller one of them: each runs its share in its own work arrays and
-    writes only its blocks' rows of the output, so the workers share no
-    state that any of them writes. BLAS and numpy's loops release the GIL,
+    The blocks are dealt out in turn to min(_cpus(), blocks) workers, or as
+    many as _WORK_BYTES holds work arrays for if fewer, the caller one of
+    them: each runs its share in its own work arrays and writes only its
+    blocks' rows of the output, so the workers share no state that any of
+    them writes. BLAS and numpy's loops release the GIL,
     so the workers run on as many cores.
     """
     cfg = params.config
@@ -172,33 +178,28 @@ def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) ->
     nblocks = max(1, -(-n // max(1, _BLOCK // Q)))
     edges = [n * i // nblocks for i in range(nblocks + 1)]
     blocks = list(zip(edges, edges[1:]))
-    nworkers = min(_cpus(), nblocks)
+    size = -(-n // nblocks)     # rows in the largest block
+    nworkers = max(1, min(_cpus(), nblocks, _WORK_BYTES // (3 * size * Q * cfg.C * 8)))
     y = np.empty((n, Q, cfg.d))
     # one allocation: freeing it sets glibc's dynamic mmap threshold to its
     # size and the trim threshold to twice that, so later calls take it from
     # the heap and keep it there instead of page-faulting it in again
-    work = np.empty((nworkers, 3, -(-n // nblocks), Q, cfg.C))
+    work = np.empty((nworkers, 3, size, Q, cfg.C))
     with nnops.no_record():
         plan = _plan(params, times, positions)
-    errors = []
 
     def run(k):
-        try:
-            with nnops.no_record():     # the tape's state is per thread
-                for lo, hi in blocks[k::nworkers]:
-                    _forward_graph(params, rows[lo:hi], positions, plan,
-                                   [w[:hi - lo] for w in work[k]], y[lo:hi])
-        except BaseException as e:      # raised in the caller once all have joined
-            errors.append(e)
+        with nnops.no_record():     # the tape's state is per thread
+            for lo, hi in blocks[k::nworkers]:
+                _forward_graph(params, rows[lo:hi], positions, plan,
+                               [w[:hi - lo] for w in work[k]], y[lo:hi])
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, nworkers)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    # leaving the pool joins every worker, also when the caller's share raises
+    with ThreadPoolExecutor(max(1, nworkers - 1)) as pool:
+        shares = [pool.submit(run, k) for k in range(1, nworkers)]
+        run(0)
+    for share in shares:
+        share.result()
     return y[0] if x.ndim == 1 else y
 
 

@@ -351,37 +351,30 @@ def unblocked_inference(params, x, times, positions):
     return y[0] if np.ndim(x) == 1 else y
 
 
-def check_blocks_match_one_pass(grid4, Q):
+@pytest.mark.parametrize("Q", [4, 64])
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+def test_blocked_inference_matches_one_pass(grid4, monkeypatch, workers, Q):
     # default model; row counts around one block, and the benchmark's
-    # shapes: no block may be small enough for BLAS to change kernels
+    # shapes: no block may be small enough for BLAS to change kernels. The
+    # blocks do not depend on how many workers share them out (None: this
+    # machine's CPUs); a short switch interval interleaves the workers'
+    # Python code finely
+    if workers is not None:
+        monkeypatch.setattr(operator, "_cpus", lambda: workers)
     p = init_params(DsnoConfig(), seed=23)
     x = np.random.default_rng(24).standard_normal((4096, 2))
     times = grid4.times if Q == 4 else np.linspace(grid4.times[0], grid4.times[-1], Q)
     positions = query_positions(grid4, times)
     rows = max(1, operator._BLOCK // Q)
     counts = (rows - 1, rows, rows + 1) + ((3000, 4096) if Q == 4 else (256,))
-    for xs in [x[0]] + [x[:n] for n in counts]:
-        want = unblocked_inference(p, xs, times, positions)
-        assert np.array_equal(query_at(p, xs, grid4, times), want)
-        if Q == 4:
-            assert np.array_equal(forward(p, xs, grid4), want)
-
-
-@pytest.mark.parametrize("Q", [4, 64])
-def test_blocked_inference_matches_one_pass(grid4, Q):
-    check_blocks_match_one_pass(grid4, Q)
-
-
-@pytest.mark.parametrize("Q", [4, 64])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_worker_count_changes_no_bits(grid4, monkeypatch, workers, Q):
-    # the row blocks do not depend on how many workers share them out; a
-    # short switch interval interleaves the workers' Python code finely
-    monkeypatch.setattr(operator, "_cpus", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        check_blocks_match_one_pass(grid4, Q)
+        for xs in [x[0]] + [x[:n] for n in counts]:
+            want = unblocked_inference(p, xs, times, positions)
+            assert np.array_equal(query_at(p, xs, grid4, times), want)
+            if Q == 4:
+                assert np.array_equal(forward(p, xs, grid4), want)
     finally:
         sys.setswitchinterval(interval)
 
@@ -422,10 +415,15 @@ def test_block_error_reaches_the_caller(grid4, monkeypatch, call, failing):
     assert np.array_equal(calls[call](), want)
 
 
-def test_inference_memory_does_not_grow_with_rows(grid4, monkeypatch):
+@pytest.mark.parametrize("cpus", [None, 64])
+def test_inference_memory_does_not_grow_with_rows(grid4, monkeypatch, cpus):
     # the work arrays and the plan are sized by the block and the worker
-    # count, not by the call: 8x the rows add only their own output
-    monkeypatch.setattr(operator, "_cpus", lambda: 3)
+    # count, not by the call, and the workers' arrays stay within
+    # _WORK_BYTES on any machine (None: this one's CPUs; 64: more workers
+    # than that holds): 4x the rows add only their own output. 4096 rows
+    # are 13 blocks, more than the 8 workers _WORK_BYTES holds at C=64
+    if cpus is not None:
+        monkeypatch.setattr(operator, "_cpus", lambda: cpus)
     p = init_params(DsnoConfig(), seed=25)
     x = np.random.default_rng(26).standard_normal((16384, 2))
 
@@ -437,8 +435,9 @@ def test_inference_memory_does_not_grow_with_rows(grid4, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    small, large = peak(2048), peak(16384)
-    assert large <= small + 16384 * 4 * 2 * 8 + 2**20
+    small, large = peak(4096), peak(16384)
+    assert large <= small + (16384 - 4096) * 4 * 2 * 8 + 2**20
+    assert large <= 16384 * 4 * 2 * 8 + operator._WORK_BYTES + 4 * 2**20
 
 
 FAULT_PROBE = """
