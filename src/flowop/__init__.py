@@ -20,7 +20,7 @@ from .operator import (DsnoConfig, DsnoParams, forward, init_params, load_checkp
                        query_at, save_checkpoint)
 from .training import (TrainConfig, adam_step, eval_trajectory_rmse,
                        lr_at, sliced_wasserstein, train, weighted_loss)
-from .spectrum import PowerSpectrum, power_spectrum, trajectory_spectrum_report
+from .spectrum import power_spectrum, trajectory_spectrum_report
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

@@ -71,31 +71,37 @@ class DsnoParams:
         return [t for _, t in self.named_tensors()]
 
 
-def _uniform(rng, shape, bound):
-    return rng.uniform(-bound, bound, size=shape)
+def param_shapes(config: DsnoConfig) -> list[tuple[int, ...]]:
+    """Every parameter tensor's shape in declaration order: each weight is
+    (out, in) and followed by its bias; each kernel is (J, C, 2C)."""
+    d, C, E, J = config.d, config.C, config.E, config.J
+    block = [(C, E), (C,), (C, C), (C,), (C, C), (C,), (J, C, 2 * C)]
+    return [(C, d), (C,)] + block * config.L + [(d, C), (d,)]
+
+
+def params_from(config: DsnoConfig, arrays) -> DsnoParams:
+    """The params of `config` whose tensors, in declaration order, hold `arrays`."""
+    lift_W, lift_b, *mid, proj_W, proj_b = map(nnops.param, arrays)
+    blocks = [Block(*mid[i:i + 7]) for i in range(0, len(mid), 7)]
+    return DsnoParams(config, lift_W, lift_b, blocks, proj_W, proj_b)
 
 
 def init_params(config: DsnoConfig, seed: int) -> DsnoParams:
-    """Seeded initialization: affines uniform +-1/sqrt(fan_in); each spectral
-    kernel draws its real parts, then its imaginary parts, uniform +-1/C."""
+    """Seeded initialization: each weight and then its bias uniform
+    +-1/sqrt(fan_in); each spectral kernel draws its real parts, then its
+    imaginary parts, uniform +-1/C."""
     rng = np.random.default_rng(seed)
-    d, C, E, J = config.d, config.C, config.E, config.J
-
-    def affine(out_dim, in_dim):
-        bound = 1.0 / np.sqrt(in_dim)
-        return (nnops.param(_uniform(rng, (out_dim, in_dim), bound)),
-                nnops.param(_uniform(rng, (out_dim,), bound)))
-
-    lift_W, lift_b = affine(C, d)
-    blocks = []
-    for _ in range(config.L):
-        emb_W, emb_b = affine(C, E)
-        W1, b1 = affine(C, C)
-        W2, b2 = affine(C, C)
-        R = np.moveaxis(_uniform(rng, (2, J, C, C), 1.0 / C), 0, -1).reshape(J, C, 2 * C)
-        blocks.append(Block(emb_W, emb_b, W1, b1, W2, b2, nnops.param(R)))
-    proj_W, proj_b = affine(d, C)
-    return DsnoParams(config, lift_W, lift_b, blocks, proj_W, proj_b)
+    arrays = []
+    for shape in param_shapes(config):
+        if len(shape) == 2:         # a weight; the bias after it takes its bound
+            bound = 1.0 / np.sqrt(shape[1])
+        if len(shape) == 3:         # a kernel
+            J, C, _ = shape
+            R = rng.uniform(-1.0 / C, 1.0 / C, size=(2, J, C, C))
+            arrays.append(np.moveaxis(R, 0, -1).reshape(shape))
+        else:
+            arrays.append(rng.uniform(-bound, bound, size=shape))
+    return params_from(config, arrays)
 
 
 def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray) -> list[tuple]:
@@ -178,7 +184,7 @@ def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) ->
     nblocks = max(1, -(-n // max(1, _BLOCK // Q)))
     edges = [n * i // nblocks for i in range(nblocks + 1)]
     blocks = list(zip(edges, edges[1:]))
-    size = -(-n // nblocks)     # rows in the largest block
+    size = max(1, -(-n // nblocks))     # rows in the largest block, or 1 if none
     nworkers = max(1, min(_cpus(), nblocks, _WORK_BYTES // (3 * size * Q * cfg.C * 8)))
     y = np.empty((n, Q, cfg.d))
     # one allocation: freeing it sets glibc's dynamic mmap threshold to its
@@ -256,18 +262,9 @@ def checkpoint_layout(groups: int):
     """`read_container` / `write_container` layout of a checkpoint: `groups`
     copies of the header config's f64 parameter tensors in declaration order."""
     def layout(header: dict) -> list[tuple]:
-        refs = init_params(DsnoConfig(**header["config"]), seed=0).tensors()
-        return [(t.value.dtype.newbyteorder("<"), t.value.shape) for t in refs] * groups
+        shapes = param_shapes(DsnoConfig(**header["config"]))
+        return [(np.dtype("<f8"), shape) for shape in shapes] * groups
     return layout
-
-
-def checkpoint_params(header: dict, arrays: list[np.ndarray]) -> DsnoParams:
-    """The params of a checkpoint header's config whose tensors, in
-    declaration order, hold `arrays` (one group)."""
-    params = init_params(DsnoConfig(**header["config"]), seed=0)
-    for t, a in zip(params.tensors(), arrays, strict=True):
-        t.value = a
-    return params
 
 
 def save_checkpoint(path, params: DsnoParams, extra: dict | None = None) -> None:
@@ -282,4 +279,4 @@ def save_checkpoint(path, params: DsnoParams, extra: dict | None = None) -> None
 
 def load_checkpoint(path) -> tuple[DsnoParams, dict]:
     header, arrays = read_container(path, checkpoint_layout(groups=1))
-    return checkpoint_params(header, arrays), header.get("extra", {})
+    return params_from(DsnoConfig(**header["config"]), arrays), header.get("extra", {})

@@ -15,24 +15,14 @@ from .schedule import NoiseSchedule
 from .trajectories import TimeGrid, solve_trajectory, write_tsv
 
 
-@dataclass(frozen=True)
-class PowerSpectrum:
-    S: np.ndarray       # one-sided power, length N//2 + 1
-    modes: np.ndarray   # integer frequency indices
-    period: float
-    N: int
-
-
-def power_spectrum(signal: np.ndarray, period: float = 1.0) -> PowerSpectrum:
-    """One-sided power S_j = (2*Delta^2/period) |X_j|^2 with Delta = 1/N."""
+def power_spectrum(signal: np.ndarray, period: float = 1.0) -> np.ndarray:
+    """One-sided power S_j = (2*Delta^2/period) |X_j|^2 with Delta = 1/N,
+    for modes j = 0..N//2."""
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("signal must be 1-D with at least 2 samples")
-    N = x.size
-    X = np.fft.rfft(x)
-    delta = 1.0 / N
-    S = (2.0 * delta * delta / period) * np.abs(X) ** 2
-    return PowerSpectrum(S=S, modes=np.arange(S.size), period=period, N=N)
+    delta = 1.0 / x.size
+    return (2.0 * delta * delta / period) * np.abs(np.fft.rfft(x)) ** 2
 
 
 @dataclass(frozen=True)
@@ -47,21 +37,20 @@ class SpectrumReport:
 
 
 def trajectory_spectrum_report(gm: GaussianMixture, sched: NoiseSchedule,
-                               n_traj: int, N: int = 1000, seed: int = 0,
-                               solver: str = "heun", substeps: int = 1) -> SpectrumReport:
-    """Aggregate per-coordinate spectra of n_traj solver trajectories
-    recorded at N uniform times on [t_min, t_max]."""
+                               n_traj: int, N: int = 1000, seed: int = 0) -> SpectrumReport:
+    """Aggregate per-coordinate spectra of n_traj Heun trajectories, one
+    step between each of N uniform times on [t_min, t_max]."""
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     times = np.linspace(sched.t_max, sched.t_min, N)
     grid = TimeGrid(times=times)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((n_traj, gm.d))
-    traj = solve_trajectory(gm, sched, x0, grid, solver=solver, substeps=substeps)
+    traj = solve_trajectory(gm, sched, x0, grid, solver="heun", substeps=1)
     # (n_traj, N, d) -> one spectrum per trajectory per coordinate
     sigs = traj.values.transpose(0, 2, 1).reshape(-1, N)
     period = sched.t_max - sched.t_min
-    all_S = np.stack([power_spectrum(s, period).S for s in sigs])
+    all_S = np.stack([power_spectrum(s, period) for s in sigs])
     total = all_S.sum()
     nondc = all_S[:, 1:].sum()
     frac = all_S[:, :6].sum() / total

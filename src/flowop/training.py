@@ -135,7 +135,7 @@ def load_train_checkpoint(path) -> tuple[DsnoParams, OptimizerState, dict]:
     header, arrays = read_container(path, operator.checkpoint_layout(groups=3))
     n = len(arrays) // 3
     extra = header["extra"]
-    return (operator.checkpoint_params(header, arrays[:n]),
+    return (operator.params_from(DsnoConfig(**header["config"]), arrays[:n]),
             OptimizerState(m=arrays[n:2 * n], v=arrays[2 * n:], step=extra["step"]), extra)
 
 

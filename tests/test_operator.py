@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from flowop import nnops, operator
 from flowop.mixture import GaussianMixture
 from flowop.nnops import add, idft_at, leaky_relu, no_record, param, spectral_conv
-from flowop.operator import (DsnoConfig, DsnoParams, forward, forward_loss, init_params,
+from flowop.operator import (DsnoConfig, forward, forward_loss, init_params,
                              load_checkpoint, query_at, query_positions,
                              save_checkpoint)
 from flowop.schedule import NoiseSchedule
@@ -33,18 +34,9 @@ def small_config(**kw):
 
 
 def param_count(config: DsnoConfig) -> int:
-    """Closed-form count of real degrees of freedom (complex = 2 reals)."""
+    """Closed-form count of real parameters."""
     d, C, L, J, E = config.d, config.C, config.L, config.J, config.E
     return d * C + C + L * (E * C + C + 2 * (C * C + C) + 2 * J * C * C) + C * d + d
-
-
-def count_parameters(params: DsnoParams) -> int:
-    """Enumerating walker over the actual tensors."""
-    total = 0
-    for _, t in params.named_tensors():
-        n = int(np.prod(t.value.shape, dtype=int)) if t.value.shape else 1
-        total += 2 * n if np.iscomplexobj(t.value) else n
-    return total
 
 
 def spectral_fraction(config: DsnoConfig) -> float:
@@ -89,9 +81,15 @@ def test_config_validation():
     DsnoConfig(E=2)
 
 
-def test_param_count_matches_walker():
+def test_param_count_matches_shapes():
+    # the closed form, the shape table and the drawn model agree, and every
+    # drawn tensor is a real float64 array
     for cfg in (DsnoConfig(), small_config(), small_config(L=1, J=2, M=2, C=3)):
-        assert param_count(cfg) == count_parameters(init_params(cfg, seed=0))
+        shapes = operator.param_shapes(cfg)
+        assert param_count(cfg) == sum(math.prod(shape) for shape in shapes)
+        tensors = init_params(cfg, seed=0).tensors()
+        assert [t.value.shape for t in tensors] == shapes
+        assert all(t.value.dtype == np.float64 for t in tensors)
 
 
 def test_default_size_is_desk_scale():
@@ -366,7 +364,7 @@ def test_blocked_inference_matches_one_pass(grid4, monkeypatch, workers, Q):
     times = grid4.times if Q == 4 else np.linspace(grid4.times[0], grid4.times[-1], Q)
     positions = query_positions(grid4, times)
     rows = max(1, operator._BLOCK // Q)
-    counts = (rows - 1, rows, rows + 1) + ((3000, 4096) if Q == 4 else (256,))
+    counts = (0, rows - 1, rows, rows + 1) + ((3000, 4096) if Q == 4 else (256,))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -516,6 +514,50 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoints_read_and_write_without_drawing_a_model(tmp_path, monkeypatch):
+    # a checkpoint's layout comes from its config's shapes: saving and
+    # loading either kind draws no model and takes no random numbers
+    p = init_params(DsnoConfig(), seed=19)
+    rng = np.random.default_rng(20)
+    state = OptimizerState(m=[rng.standard_normal(t.value.shape) for t in p.tensors()],
+                           v=[rng.random(t.value.shape) for t in p.tensors()], step=3)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a checkpoint read or write drew random numbers")
+
+    monkeypatch.setattr(operator, "init_params", fail)
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    model, trained = tmp_path / "model.bin", tmp_path / "train.bin"
+    save_checkpoint(model, p)
+    save_train_checkpoint(trained, p, state, TrainConfig())
+    q, _ = load_checkpoint(model)
+    r, loaded, _ = load_train_checkpoint(trained)
+    assert q.config == r.config == p.config and loaded.step == 3
+    for got in (q.tensors(), r.tensors()):
+        assert all(np.array_equal(a.value, b.value)
+                   for a, b in zip(p.tensors(), got, strict=True))
+    assert all(np.array_equal(a, b) for a, b in
+               zip(state.m + state.v, loaded.m + loaded.v, strict=True))
+
+
+def test_checkpoint_of_a_huge_claimed_model_refused_unbuilt(tmp_path):
+    # a checksummed header that claims C=1000 over an empty payload is
+    # refused by its payload size before any array of that size is made
+    header = json.dumps({"config": {"d": 2, "C": 1000, "L": 4, "J": 3, "M": 4, "E": 32}})
+    path = tmp_path / "huge.bin"
+    path.write_bytes(_with_checksum(_CKPT_MAGIC + len(header).to_bytes(8, "little")
+                                    + header.encode()))
+    for load in (load_checkpoint, load_train_checkpoint):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload has 0 bytes, expected"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 def _numbered_checkpoints(tmp_path):
     """A model and a train checkpoint of a tiny model whose values are
     fixed numbers, not draws, so their bytes are fixed. The kernel's value,
@@ -635,7 +677,7 @@ def test_checkpoint_casts_to_its_layout(tmp_path):
     save_checkpoint(path, p)
     q, _ = load_checkpoint(path)
     for ta, tb in zip(p.tensors(), q.tensors()):
-        assert tb.value.dtype in (np.float64, np.complex128)
+        assert tb.value.dtype == np.float64
         assert np.array_equal(ta.value, tb.value)
     before = path.read_bytes()
     for bad in (p.proj_b.value[:-1], p.proj_b.value * 1j):
