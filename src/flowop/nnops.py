@@ -13,7 +13,9 @@ which reuses the scope's arrays that nothing refers to any more. A loop
 that drops each pass's graph before it builds the next one therefore
 allocates these arrays in its first pass only. `backward` drops each
 inner node's gradient once its rule has run, so a pass holds the
-gradients of a few nodes at a time besides those of the leaves.
+gradients of a few nodes at a time besides those of the leaves. The tape's
+state is per thread: threads that record at once each enter a scope of
+their own, over workspaces that may share one block of memory.
 """
 from __future__ import annotations
 
@@ -33,6 +35,24 @@ class _TapeState(threading.local):
 _TAPE = _TapeState()
 
 
+class _Block:
+    """Bytes that workspaces cut their new arrays from, one cut at a time."""
+
+    def __init__(self, nbytes: int):
+        self._buf = memoryview(np.empty(nbytes, np.uint8))
+        self._used = 0
+        self._lock = threading.Lock()
+
+    def cut(self, nbytes: int) -> memoryview | None:
+        """The next `nbytes` at a 64-byte boundary, or None if they do not fit."""
+        with self._lock:
+            lo = -(-self._used // 64) * 64
+            if lo + nbytes > len(self._buf):
+                return None
+            self._used = lo + nbytes
+        return self._buf[lo:lo + nbytes]
+
+
 class Workspace:
     """A pool of arrays, grouped by size and dtype. `take` hands out one that
     nothing outside the pool refers to any more, else a new one, so no array
@@ -40,16 +60,20 @@ class Workspace:
 
     New arrays are cut from one block of SLAB bytes while it lasts. The
     block is just over glibc's 32 MiB cap on its dynamic mmap threshold, so
-    each workspace maps it afresh and leaves the heap's thresholds as they
+    each block is mapped afresh and leaves the heap's thresholds as they
     were; it faults in only the pages its arrays touch, in few faults since
-    numpy asks for huge pages on blocks of 4 MiB or more."""
+    numpy asks for huge pages on blocks of 4 MiB or more.
+
+    `Workspace(other)` has a pool of its own but cuts from other's block, so
+    threads that each run in their own workspace share one block and fault
+    in one set of huge pages, not one per thread. Only a cut takes the
+    block's lock; a pool hands its free arrays out again without it."""
 
     SLAB = 32 << 20
 
-    def __init__(self):
+    def __init__(self, share: Workspace | None = None):
         self._pool: dict[tuple, list[np.ndarray]] = {}
-        self._slab = memoryview(np.empty(self.SLAB, np.uint8))
-        self._used = 0
+        self._block = _Block(self.SLAB) if share is None else share._block
 
     def take(self, shape, dtype) -> np.ndarray:
         shape, dtype = tuple(shape), np.dtype(dtype)
@@ -62,22 +86,18 @@ class Workspace:
             # numpy stops collapsing a view's chain of bases)
             if sys.getrefcount(arrays[i]) == 2:
                 return arrays[i].reshape(shape)
-        lo = -(-self._used // 64) * 64
-        hi = lo + size * dtype.itemsize
-        if hi <= self.SLAB:
-            self._used = hi
-            arrays.append(np.frombuffer(self._slab[lo:hi], dtype))
-        else:
-            arrays.append(np.empty(size, dtype))
+        buf = self._block.cut(size * dtype.itemsize)
+        arrays.append(np.empty(size, dtype) if buf is None else np.frombuffer(buf, dtype))
         return arrays[-1].reshape(shape)
 
 
 @contextlib.contextmanager
-def workspace():
+def workspace(ws: Workspace | None = None):
     """Scope whose recorded ops, backward passes and `empty` calls take their
-    arrays from one new Workspace; its arrays are dropped when it ends."""
+    arrays from `ws`, else from one new Workspace whose arrays are dropped
+    when the scope ends."""
     prev = _TAPE.workspace
-    _TAPE.workspace = Workspace()
+    _TAPE.workspace = Workspace() if ws is None else ws
     try:
         yield
     finally:

@@ -104,15 +104,23 @@ def init_params(config: DsnoConfig, seed: int) -> DsnoParams:
     return params_from(config, arrays)
 
 
-def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray) -> list[tuple]:
+def spectral_matrices(params: DsnoParams, positions: np.ndarray) -> list[np.ndarray]:
+    """Each block's `nnops.spectral_matrix` at `positions`, in block order."""
+    return [nnops.spectral_matrix(blk.kernel, positions, params.config.M)
+            for blk in params.blocks]
+
+
+def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray,
+          matrices=None) -> list[tuple]:
     """What each residual block needs that does not depend on the rows, in
     training and inference alike: its time-embedding rows (Q, C) and its
-    `nnops.spectral_matrix`, through which the tape records no gradient."""
-    cfg = params.config
-    emb_t = nnops.param(nnops.time_embedding(times, cfg.E))
-    return [(nnops.affine_pointwise(blk.emb_W, blk.emb_b, emb_t),
-             nnops.spectral_matrix(blk.kernel, positions, cfg.M))
-            for blk in params.blocks]
+    `nnops.spectral_matrix`, through which the tape records no gradient.
+    `matrices` are the blocks' `spectral_matrices`, if the caller has them."""
+    emb_t = nnops.param(nnops.time_embedding(times, params.config.E))
+    if matrices is None:
+        matrices = spectral_matrices(params, positions)
+    return [(nnops.affine_pointwise(blk.emb_W, blk.emb_b, emb_t), matrix)
+            for blk, matrix in zip(params.blocks, matrices)]
 
 
 def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
@@ -152,12 +160,49 @@ _BLOCK = 1280
 _WORK_BYTES = 16 * 2**20
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+def _cgroup_cpus(root: str, own: str) -> int | None:
+    """ceil(quota / period) of the CPU quota of this process's cgroup, listed
+    in `own`, under the cgroup mount `root`: cgroup v2's cpu.max, else v1's
+    cpu.cfs_quota_us and cpu.cfs_period_us. None for no quota (`max`, -1)
+    or for files that cannot be read."""
     try:
-        return len(os.sched_getaffinity(0))
+        with open(own) as f:
+            groups = dict(line.rstrip("\n").split(":", 2)[1:] for line in f)
+    except (OSError, ValueError):
+        return None
+    tried = []
+    if "" in groups:                                        # cgroup v2
+        tried.append([os.path.join(root, groups[""].lstrip("/"), "cpu.max")])
+    for controllers, path in groups.items():                # cgroup v1
+        if "cpu" in controllers.split(","):
+            where = os.path.join(root, controllers, path.lstrip("/"))
+            tried.append([os.path.join(where, "cpu.cfs_quota_us"),
+                          os.path.join(where, "cpu.cfs_period_us")])
+    for files in tried:
+        try:
+            words = []
+            for name in files:
+                with open(name) as f:
+                    words += f.read().split()
+        except OSError:
+            continue
+        try:
+            quota, period = int(words[0]), int(words[1])
+        except (ValueError, IndexError):    # `max`, or not a quota
+            return None
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
+def _cpus(root: str = "/sys/fs/cgroup", own: str = "/proc/self/cgroup") -> int:
+    """The number of CPUs this process may run on: those of its affinity
+    mask, at most its cgroup's CPU quota rounded up."""
+    try:
+        n = len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity call off Linux
-        return os.cpu_count() or 1
+        n = os.cpu_count() or 1
+    quota = _cgroup_cpus(root, own)
+    return n if quota is None else max(1, min(n, quota))
 
 
 def _infer(params: DsnoParams, x_T, times: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -221,10 +266,12 @@ def forward(params: DsnoParams, x_T, grid: TimeGrid) -> np.ndarray:
     return _infer(params, x_T, grid.times, _grid_positions(params, grid))
 
 
-def forward_loss(params: DsnoParams, x_T, grid: TimeGrid, target, weights) -> Tensor:
-    """Differentiable weighted l1 training loss for a batch."""
+def forward_loss(params: DsnoParams, x_T, grid: TimeGrid, target, weights,
+                 matrices=None) -> Tensor:
+    """Differentiable weighted l1 training loss for a batch. `matrices` are
+    the blocks' `spectral_matrices` on the grid, if the caller has them."""
     positions = _grid_positions(params, grid)
-    plan = _plan(params, grid.times, positions)
+    plan = _plan(params, grid.times, positions, matrices)
     y = _forward_graph(params, np.asarray(x_T, dtype=float), positions, plan)
     return nnops.weighted_l1(y, target, weights)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -115,6 +116,55 @@ def _batch_indices(N: int, batch_size: int, seed: int, step: int) -> np.ndarray:
     return perm[lo:lo + batch_size]
 
 
+# Each step's batch of n rows runs as _SHARDS fixed row shards, rows
+# n*k//S .. n*(k+1)//S of shard k (one shard if n < S), each on its own
+# leaf tensors over the parameters' arrays and in its own workspace pool.
+# Their gradients are summed in shard order, so the bits depend on the
+# shard count and not on the min(CPUs, shards) threads that run the
+# shards. A batch whose pointwise affines take fewer than _SHARD_MACS
+# multiply-adds (n * M * C^2) runs as one shard: there the ops' Python
+# overhead, which holds the GIL, outweighs their GEMMs, and two shards
+# were slower than one (see CHANGES.md). The default model at B=256 has
+# twice that.
+_SHARDS = 2
+_SHARD_MACS = 2**21
+
+
+def _shard_edges(n: int, config: DsnoConfig) -> list[tuple[int, int]]:
+    S = min(_SHARDS, n) if n * config.M * config.C ** 2 >= _SHARD_MACS else 1
+    return [(n * k // S, n * (k + 1) // S) for k in range(S)]
+
+
+def _shard_loss(params: DsnoParams, pool: nnops.Workspace, x, grid: TimeGrid, y,
+                weights, matrices, step: int) -> float:
+    """One shard's forward and backward pass in `pool`: its loss. The
+    gradients stay on params' tensors."""
+    with nnops.workspace(pool):
+        loss = forward_loss(params, x, grid, y, weights, matrices)
+        if not np.isfinite(loss.value):
+            raise FloatingPointError(f"non-finite loss at step {step}")
+        loss.backward()
+        return float(loss.value)
+
+
+def _summed_grads(shards: list[list[Tensor]]) -> list[np.ndarray]:
+    """Each parameter's gradient summed over the shards' tensors in shard
+    order, into the first shard's gradient arrays: zeros where a shard has
+    none, and a copy of one that shares its memory with an earlier one
+    (`add` hands both its parents one array), so that each sum is its own."""
+    grads, owners = [], set()
+    for t in shards[0]:
+        g = np.zeros_like(t.value) if t.grad is None else t.grad
+        owner = g.base if isinstance(g.base, np.ndarray) else g    # numpy collapses views
+        grads.append(g.copy() if id(owner) in owners else g)
+        owners.add(id(owner))
+    for tensors in shards[1:]:
+        for g, t in zip(grads, tensors):
+            if t.grad is not None:
+                g += t.grad
+    return grads
+
+
 @dataclass
 class TrainResult:
     params: DsnoParams
@@ -180,27 +230,49 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
     w = grid_weights(dataset.sched, grid, tc.weighting)
     x_all = dataset.x_T.astype(float)
     y_all = dataset.values.astype(float)
+    positions = np.arange(grid.M, dtype=float)
     curve: list[tuple[int, float, float]] = []
     tensors = params.tensors()
+    shards = [params] + [operator.params_from(params.config, [t.value for t in tensors])
+                         for _ in range(_SHARDS - 1)]
+    pools = [nnops.Workspace()]
+    pools += [nnops.Workspace(pools[0]) for _ in shards[1:]]
+    cpus = operator._cpus()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    # every step records the same graph, so the step's arrays (node values,
-    # gradients, Adam's temporaries) are allocated by the first step only
-    with nnops.workspace():
+    # every step records the same graphs, so the step's arrays (node values,
+    # gradients, Adam's temporaries) are allocated by the first step only.
+    # Leaving the pool joins its thread, also when a shard raises
+    with nnops.workspace(pools[0]), \
+            ThreadPoolExecutor(max(1, min(cpus, _SHARDS) - 1)) as pool:
         for step in range(start, tc.total_steps):
             idx = _batch_indices(dataset.N, tc.batch_size, tc.seed, step)
-            loss = forward_loss(params, x_all[idx], grid, y_all[idx], w)
-            if not np.isfinite(loss.value):
-                raise FloatingPointError(f"non-finite loss at step {step}")
-            loss.backward()
-            grads = [np.zeros_like(t.value) if t.grad is None else t.grad for t in tensors]
+            x, y = x_all[idx], y_all[idx]
+            # plain arrays that every shard reads; the kernels' gradients
+            # come from each shard's spectral_conv
+            matrices = operator.spectral_matrices(params, positions)
+            calls = [(shards[k], pools[k], x[lo:hi], grid, y[lo:hi],
+                      w * ((hi - lo) / len(idx)), matrices, step)
+                     for k, (lo, hi) in enumerate(_shard_edges(len(idx), mc))]
+            nthreads, losses = min(cpus, len(calls)), [0.0] * len(calls)
+
+            def run(j):     # the shards are dealt out to the threads in turn
+                for k in range(j, len(calls), nthreads):
+                    losses[k] = _shard_loss(*calls[k])
+
+            shares = [pool.submit(run, j) for j in range(1, nthreads)]
+            run(0)
+            for share in shares:
+                share.result()
+            grads = _summed_grads([s.tensors() for s in shards[:len(calls)]])
             lr = lr_at(tc, step + 1)
             adam_step(tensors, grads, state, lr)
-            curve.append((step, lr, float(loss.value)))
+            curve.append((step, lr, sum(losses)))
             # free this step's arrays for the next one
-            loss = grads = None
-            for t in tensors:
-                t.grad = None
+            matrices = calls = grads = None
+            for s in shards:
+                for t in s.tensors():
+                    t.grad = None
             if checkpoint_every and (step + 1) % checkpoint_every == 0:
                 save_train_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1:07d}.bin"),
                                       params, state, tc)

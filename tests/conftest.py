@@ -1,9 +1,12 @@
 import threading
 
+# flowop before numpy: importing it pins BLAS to one thread where the
+# environment names no count, as under the `flowop` command, and that
+# takes effect only while numpy has not loaded
+from flowop import GaussianMixture, NoiseSchedule, make_time_grid
+
 import numpy as np
 import pytest
-
-from flowop import GaussianMixture, NoiseSchedule, make_time_grid
 
 from checks import default_bimodal
 

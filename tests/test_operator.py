@@ -413,6 +413,32 @@ def test_block_error_reaches_the_caller(grid4, monkeypatch, call, failing):
     assert np.array_equal(calls[call](), want)
 
 
+@pytest.mark.parametrize("cgroup, files, want", [
+    ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 2),
+    ("0::/job\n", {"job/cpu.max": "max 100000\n"}, 8),
+    ("0::/job\n", {"job/cpu.max": "lots\n"}, 8),
+    ("0::/job\n", {}, 8),
+    ("4:cpu,cpuacct:/job\n1:name=systemd:/\n",
+     {"cpu,cpuacct/job/cpu.cfs_quota_us": "250000\n",
+      "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"}, 3),
+    ("1:cpu:/\n0::/\n", {"cpu/cpu.cfs_quota_us": "-1\n",
+                          "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+    ("1:cpu:/\n0::/\n", {"cpu.max": "50000 100000\n"}, 1),
+    ("garbage\n", {}, 8),
+], ids=["v2-quota", "v2-max", "v2-garbage", "v2-no-file", "v1-quota", "v1-none",
+        "hybrid-v2-quota", "unreadable-cgroup"])
+def test_cpus_are_bounded_by_the_cgroup_quota(tmp_path, monkeypatch, cgroup, files, want):
+    # fake cgroup files under tmp_path, on a host of 8 CPUs: the count is
+    # the affinity mask's, bounded by ceil(quota / period) where the
+    # process's cgroup has a quota
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    (tmp_path / "self.cgroup").write_text(cgroup)
+    assert operator._cpus(str(tmp_path), str(tmp_path / "self.cgroup")) == want
+
+
 @pytest.mark.parametrize("cpus", [None, 64])
 def test_inference_memory_does_not_grow_with_rows(grid4, monkeypatch, cpus):
     # the work arrays and the plan are sized by the block and the worker

@@ -1,18 +1,20 @@
+import contextlib
 import dataclasses
 import json
 import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowop import nnops, training
+from flowop import nnops, operator, training
 from flowop.nnops import param
-from flowop.operator import DsnoConfig, forward, forward_loss, init_params
+from flowop.operator import DsnoConfig, forward, forward_loss, init_params, params_from
 from flowop.schedule import NoiseSchedule, loss_weight
 from flowop.trajectories import TrajectoryDataset, generate_dataset, make_time_grid
 from flowop.training import (OptimizerState, TrainConfig, adam_step,
@@ -401,6 +403,200 @@ def test_train_steps_do_not_fault_and_leave_only_their_result():
     steps, left, size = json.loads(out.splitlines()[-1])
     assert len(steps) == 8 and max(steps[1:]) <= 100, steps
     assert left <= size + 64 * 1024, (left, size)
+
+
+# ------------------------------------------------------------ sharded steps
+
+def random_dataset(cfg, N, seed):
+    """A dataset of N random records on the default grid: train reads only
+    its shapes, values, grid and schedule."""
+    sched = NoiseSchedule()
+    rng = np.random.default_rng(seed)
+    return TrajectoryDataset(sched, make_time_grid(cfg.M, "quadratic", sched),
+                             rng.standard_normal((N, cfg.d)).astype(np.float32),
+                             rng.standard_normal((N, cfg.M, cfg.d)).astype(np.float32))
+
+
+@contextlib.contextmanager
+def short_switch_interval():
+    """Let the interpreter switch threads every microsecond, so the shards'
+    Python code interleaves finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("cfg, batch", [(DsnoConfig(), 256), (DsnoConfig(), 255),
+                                        (DsnoConfig(C=16, L=2, J=5, M=8), 64)],
+                         ids=["default", "odd-batch", "factored"])
+def test_sharded_step_is_the_sum_of_its_shards(monkeypatch, cfg, batch, cpus):
+    # one step's loss and gradients are, bit for bit, the serial sum in
+    # shard order of forward_loss over the batch's row shards with weights
+    # w * rows_k / B, run on fresh arrays; they are the batch's own loss and
+    # gradients to 1e-12, relative
+    ds = random_dataset(cfg, 512, seed=40)
+    tc = TrainConfig(batch_size=batch, total_steps=1, warmup_steps=1, seed=3)
+    seen = []
+
+    def adam(tensors, grads, state, lr, fn=training.adam_step):
+        seen.append([g.copy() for g in grads])
+        return fn(tensors, grads, state, lr)
+
+    monkeypatch.setattr(training, "adam_step", adam)
+    monkeypatch.setattr(training, "_SHARD_MACS", 0)     # the factored model is small
+    monkeypatch.setattr(operator, "_cpus", lambda: cpus)
+    with short_switch_interval():
+        res = train(ds, tc, cfg)
+    (got,) = seen
+    loss = res.loss_curve[0][2]
+
+    idx = training._batch_indices(ds.N, batch, tc.seed, 0)
+    x, y = ds.x_T.astype(float)[idx], ds.values.astype(float)[idx]
+    w = grid_weights(ds.sched, ds.grid, tc.weighting)
+    arrays = [t.value for t in init_params(cfg, seed=tc.seed).tensors()]
+    want_loss, want = 0, None
+    for lo, hi in ((0, batch // 2), (batch // 2, batch)):
+        p = params_from(cfg, arrays)
+        part = forward_loss(p, x[lo:hi], ds.grid, y[lo:hi], w * ((hi - lo) / batch))
+        part.backward()
+        want_loss += float(part.value)
+        if want is None:
+            want = [t.grad.copy() for t in p.tensors()]
+        else:
+            for g, t in zip(want, p.tensors()):
+                g += t.grad
+    assert loss == want_loss
+    assert all(g.tobytes() == h.tobytes() for g, h in zip(got, want))
+
+    p = params_from(cfg, arrays)
+    whole = forward_loss(p, x, ds.grid, y, w)
+    whole.backward()
+    assert loss == pytest.approx(float(whole.value), rel=1e-12, abs=0)
+    for g, t in zip(got, p.tensors()):
+        assert np.max(np.abs(g - t.grad)) <= 1e-12 * np.max(np.abs(t.grad))
+
+
+def test_train_bits_do_not_depend_on_the_cpu_count(monkeypatch):
+    # the shards run on min(CPUs, 2) threads: the caller and one worker
+    # thread that lives for the whole call. The parameters and the loss
+    # curve of a call are the same at any thread count. The tiny model
+    # shards only with the size threshold off
+    monkeypatch.setattr(training, "_SHARD_MACS", 0)
+    ds = random_dataset(TINY_MODEL, 100, seed=41)
+    tc = tiny_train_config(batch_size=33, total_steps=7)
+    shard_loss, runs = training._shard_loss, []
+
+    def recorded(params, pool, x, *args):
+        runs.append((len(x), threading.current_thread()))
+        return shard_loss(params, pool, x, *args)
+
+    monkeypatch.setattr(training, "_shard_loss", recorded)
+    results = {}
+    with short_switch_interval():
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(operator, "_cpus", lambda: cpus)
+            runs.clear()
+            results[cpus] = train(ds, tc, TINY_MODEL)
+            assert sorted(n for n, _ in runs) == [16] * 7 + [17] * 7
+            assert {t for n, t in runs if n == 16} == {threading.main_thread()}
+            (second,) = {t for n, t in runs if n == 17}
+            assert (second is threading.main_thread()) == (cpus == 1)
+    for res in results.values():
+        assert res.loss_curve == results[1].loss_curve
+        assert all(a.value.tobytes() == b.value.tobytes()
+                   for a, b in zip(res.params.tensors(), results[1].params.tensors()))
+
+
+class ShardFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_shard_error_reaches_the_caller(monkeypatch, tiny_dataset, where):
+    # an error in a shard on either thread is raised by train() once its
+    # worker has ended (no_leaked_threads), every tape scope is restored,
+    # and the next call trains as if none had failed
+    monkeypatch.setattr(training, "_SHARD_MACS", 0)
+    monkeypatch.setattr(operator, "_cpus", lambda: 2)
+    tc = tiny_train_config()
+    want = train(tiny_dataset, tc, TINY_MODEL)
+    shard_loss = training._shard_loss
+
+    def failing(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if args[-1] == 3 and on_caller == (where == "caller"):
+            raise ShardFailed(where)
+        return shard_loss(*args)
+
+    monkeypatch.setattr(training, "_shard_loss", failing)
+    threads = threading.active_count()
+    with pytest.raises(ShardFailed, match=where):
+        train(tiny_dataset, tc, TINY_MODEL)
+    assert threading.active_count() == threads
+    assert nnops._TAPE.workspace is None and nnops._TAPE.recording
+    monkeypatch.setattr(training, "_shard_loss", shard_loss)
+    again = train(tiny_dataset, tc, TINY_MODEL)
+    assert again.loss_curve == want.loss_curve
+    assert all(np.array_equal(a.value, b.value)
+               for a, b in zip(again.params.tensors(), want.params.tensors()))
+
+
+@pytest.mark.parametrize("n, cfg, shards", [
+    (256, DsnoConfig(), 2), (255, DsnoConfig(), 2), (128, DsnoConfig(), 2),
+    (127, DsnoConfig(), 1), (256, DsnoConfig(C=32, L=2), 1),
+    (64, DsnoConfig(C=32, L=2, J=5, M=8), 1), (1, DsnoConfig(C=2048), 1),
+], ids=["default", "odd", "half", "under-half", "C32", "criterion-8-M8", "one-row"])
+def test_small_batches_run_as_one_shard(n, cfg, shards):
+    # two shards from n * M * C^2 = 2^21 multiply-adds per affine, half the
+    # default model's; they cover the rows in order, equal to within one
+    edges = training._shard_edges(n, cfg)
+    assert len(edges) == shards
+    assert edges[0][0] == 0 and edges[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+    assert max(hi - lo for lo, hi in edges) - min(hi - lo for lo, hi in edges) <= 1
+
+
+def test_batch_of_one_row_trains_as_one_shard(monkeypatch, tiny_dataset):
+    # one row cannot be split: each step runs one shard of the whole batch,
+    # and its loss is that of forward_loss on the row
+    monkeypatch.setattr(training, "_SHARD_MACS", 0)
+    monkeypatch.setattr(operator, "_cpus", lambda: 2)
+    shard_loss, rows = training._shard_loss, []
+
+    def recorded(params, pool, x, *args):
+        rows.append(len(x))
+        return shard_loss(params, pool, x, *args)
+
+    monkeypatch.setattr(training, "_shard_loss", recorded)
+    tc = tiny_train_config(batch_size=1, total_steps=3, warmup_steps=1)
+    res = train(tiny_dataset, tc, TINY_MODEL)
+    assert rows == [1, 1, 1]
+    idx = training._batch_indices(tiny_dataset.N, 1, tc.seed, 0)
+    w = grid_weights(tiny_dataset.sched, tiny_dataset.grid, tc.weighting)
+    first = forward_loss(init_params(TINY_MODEL, seed=tc.seed), tiny_dataset.x_T[idx],
+                         tiny_dataset.grid, tiny_dataset.values[idx].astype(float), w)
+    assert res.loss_curve[0][2] == float(first.value)
+
+
+def test_summed_gradients_keep_a_shared_gradient_array_apart():
+    # add() hands both of its parents one gradient array; summing the next
+    # shard into it in place would add that shard's gradients into both
+    x = np.arange(8.0).reshape(1, 4, 2)
+    target, w = np.zeros((1, 4, 2)), np.ones(4)
+    shards, want = [], []
+    for k in range(2):
+        a, b = param(x.copy()), param(2 * x)
+        nnops.weighted_l1(nnops.add(a, b), target + k, w).backward()
+        shards.append([a, b])
+        want.append([a.grad.copy(), b.grad.copy()])
+    assert shards[0][0].grad is shards[0][1].grad
+    grads = training._summed_grads(shards)
+    for i in range(2):
+        assert np.array_equal(grads[i], want[0][i] + want[1][i])
 
 
 def test_train_checkpoint_round_trip(tmp_path):
