@@ -64,21 +64,17 @@ def marginal_params(gm: GaussianMixture, sched: NoiseSchedule, t: float) -> Marg
 
 
 def score(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:
-    """Gradient of log p_t at x (shape (..., d)): responsibility-weighted
-    component scores, with log-sum-exp stabilized responsibilities.
+    """Gradient of log p_t at x (shape (..., d)): sum_k (r_k / v_k)(mu_k - x).
+    The responsibilities are a max-shifted softmax, r_k = exp(l_k - m) /
+    sum_k exp(l_k - m) with m = max_k l_k, of the log-components
+    l_k = c_k - |x - mu_k|^2 (0.5 / v_k), c_k = log w_k - (d/2) log(2 pi v_k);
+    a zero weight makes l_k = -inf and r_k = 0.
 
-    Runs feature-major: x is copied once to (d, n), n the rows of
-    x.reshape(-1, d), so the sums over the K components and the d
-    coordinates are whole-row ops rather than numpy inner loops of length
-    K or d. They add in sequential order, as numpy does over a trailing
-    axis shorter than 8, so for K, d < 8 the result is bit-identical to
-    the (..., K, d) broadcast form.
-
-    Apart from the (K, d, n) differences, which become the weighted
-    component scores in place, no array of that size is made: one (K, n)
-    array holds the squared distances, then the log-components, then the
-    responsibilities. A second (K, d, n) array would be 128 KiB at the
-    benchmark's 4096 rows, glibc's mmap threshold, and page-fault.
+    Runs feature-major, on a (d, n) copy of x's n rows, in loops over the K
+    components and d coordinates of whole-row ops on one (K, n) block and one
+    (n,) row, writing each coordinate's row into the (n, d) output. They add
+    in sequential order, as numpy does over a trailing axis shorter than 8, so
+    for K, d < 8 the result is bit-identical to the (..., K, d) broadcast form.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (gm.d,):
@@ -86,28 +82,33 @@ def score(gm: GaussianMixture, sched: NoiseSchedule, x, t: float) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input to score")
     mp = marginal_params(gm, sched, t)
-    var = mp.vars_t[:, None]                                   # (K, 1)
-    diff = (np.ascontiguousarray(x.reshape(-1, gm.d).T)        # (d, n)
-            - mp.means_t[:, :, None])                          # (K, d, n)
-    r = diff[:, 0] * diff[:, 0]                                # (K, n)
-    for j in range(1, gm.d):
-        r += diff[:, j] * diff[:, j]
-    r *= 0.5
-    r /= var
-    np.subtract(np.log(mp.weights)[:, None], r, out=r)
-    r -= 0.5 * gm.d * np.log(2.0 * np.pi * var)                # log-components
-    # K - 1 binary calls: np.logaddexp.reduce(r, axis=0)'s order and
-    # bits, in about half its time
-    lse = r[0].copy()
-    for k in range(1, r.shape[0]):
-        np.logaddexp(lse, r[k], out=lse)
-    r -= lse
-    np.exp(r, out=r)                                           # responsibilities
-    np.negative(diff, out=diff)
-    diff /= var[:, None]                                       # component scores
-    diff *= r[:, None]
+    mu, var = mp.means_t, mp.vars_t
+    with np.errstate(divide="ignore"):                         # log(0) = -inf
+        log_c = np.log(mp.weights) - 0.5 * gm.d * np.log(2.0 * np.pi * var)
+    xt = np.ascontiguousarray(x.reshape(-1, gm.d).T)           # (d, n)
+    r = np.empty((len(var), xt.shape[1]))                      # (K, n)
+    row = np.empty(xt.shape[1])
+    for k, rk in enumerate(r):                                 # log-components
+        np.subtract(xt[0], mu[k, 0], out=rk)
+        rk *= rk
+        for j in range(1, gm.d):
+            np.subtract(xt[j], mu[k, j], out=row)
+            row *= row
+            rk += row
+        rk *= -0.5 / var[k]
+        rk += log_c[k]
+    r -= np.max(r, axis=0)
+    np.exp(r, out=r)
+    r /= np.sum(r, axis=0)                                     # responsibilities
+    r /= var[:, None]
     out = np.empty(x.shape)
-    np.sum(diff, axis=0, out=out.reshape(-1, gm.d).T)
+    for j, col in enumerate(out.reshape(-1, gm.d).T):
+        np.subtract(mu[0, j], xt[j], out=col)
+        col *= r[0]
+        for k in range(1, len(r)):
+            np.subtract(mu[k, j], xt[j], out=row)
+            row *= r[k]
+            col += row
     return out
 
 

@@ -9,10 +9,13 @@ from flowop.mixture import (GaussianMixture, epsilon_hat, marginal_params,
 from flowop.schedule import NoiseSchedule
 from flowop.trajectories import generate_dataset, solve_trajectory
 
-# Oracles in the trailing-axis (..., K, d) layout that score used before it
-# ran feature-major. Every elementwise op is the same and, for K, d < 8,
-# numpy adds the length-K and length-d axes in sequential order in both
-# layouts, so score must match score_oracle bit for bit.
+# Oracles in the trailing-axis (..., K, d) layout. score_oracle is score's
+# formula: every elementwise op is the same and, for K, d < 8, numpy adds the
+# length-K and length-d axes in sequential order in both layouts, so score
+# must match it bit for bit. score_logaddexp_oracle is the formula score had
+# before its softmax responsibilities: log-components
+# log w - 0.5 |x - mu|^2 / v - (d/2) log(2 pi v), log-sum-exp responsibilities
+# and the component scores -(x - mu) / v.
 
 
 def _log_components(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
@@ -41,6 +44,18 @@ def score_oracle(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input to score")
+    mp = marginal_params(gm, sched, t)
+    diff = x[..., None, :] - mp.means_t                    # (..., K, d)
+    with np.errstate(divide="ignore"):
+        log_c = np.log(mp.weights) - 0.5 * gm.d * np.log(2.0 * np.pi * mp.vars_t)
+    log_comp = np.sum(diff * diff, axis=-1) * (-0.5 / mp.vars_t) + log_c
+    e = np.exp(log_comp - np.max(log_comp, axis=-1, keepdims=True))
+    r = e / np.sum(e, axis=-1, keepdims=True)              # (..., K)
+    return np.sum((r / mp.vars_t)[..., None] * -diff, axis=-2)
+
+
+def score_logaddexp_oracle(gm: GaussianMixture, sched: NoiseSchedule, x, t: float):
+    x = np.asarray(x, dtype=float)
     mp = marginal_params(gm, sched, t)
     r = responsibilities(gm, sched, x, t)                  # (..., K)
     comp_score = -(x[..., None, :] - mp.means_t) / mp.vars_t[:, None]
@@ -168,7 +183,7 @@ def test_responsibilities_sum_to_one(sched, bimodal):
 def test_score_bit_identical_to_oracle(sched, K, d):
     gm = _random_mixture(K, d, seed=10 * K + d)
     rng = np.random.default_rng(K * d)
-    for shape in [(d,), (50, d), (2, 3, d), (4096, d)]:
+    for shape in [(d,), (50, d), (2, 3, d), (4096, d), (0, d), (0, 3, d)]:
         near = rng.uniform(-4, 4, shape)
         far = rng.choice([-200.0, 200.0], shape)    # densities underflow here
         for x in (near, far):
@@ -178,10 +193,42 @@ def test_score_bit_identical_to_oracle(sched, K, d):
                 assert np.array_equal(got, score_oracle(gm, sched, x, t))
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+def test_score_agrees_with_logaddexp_oracle(sched, K, d):
+    # the softmax and log-sum-exp responsibilities round differently; far
+    # from the modes at t_min the log-components reach 1e6, and the gap
+    # there read at most 4.3e-11 of the row's largest |score|
+    gm = _random_mixture(K, d, seed=10 * K + d)
+    rng = np.random.default_rng(K * d)
+    for shape in [(d,), (50, d), (2, 3, d), (4096, d), (0, d), (0, 3, d)]:
+        near = rng.uniform(-4, 4, shape)
+        far = rng.choice([-200.0, 200.0], shape)
+        for x in (near, far):
+            for t in (sched.t_min, 0.05, 0.5, sched.t_max):
+                got = score(gm, sched, x, t)
+                scale = np.max(np.abs(got), axis=-1, keepdims=True)
+                assert np.all(np.abs(got - score_logaddexp_oracle(gm, sched, x, t))
+                              <= 1e-10 * scale)
+
+
+def test_zero_weight_component_is_ignored(sched, grid4):
+    # log(0) = -inf is a valid log-component: its responsibility is 0, so
+    # the mixture scores and solves as its other component alone, with no
+    # divide-by-zero warning (an error under the suite's warning filter)
+    one = GaussianMixture(weights=[1.0], means=[[1.0, -0.5]], variances=[0.04])
+    two = GaussianMixture(weights=[1.0, 0.0], means=[[1.0, -0.5], [-3.0, 2.0]],
+                          variances=[0.04, 0.3])
+    x = np.random.default_rng(6).standard_normal((300, 2)) * 2.0
+    for t in (sched.t_min, 0.05, 0.5, sched.t_max):
+        assert np.array_equal(score(two, sched, x, t), score(one, sched, x, t))
+    assert np.array_equal(solve_trajectory(two, sched, x, grid4, "heun", 16).values,
+                          solve_trajectory(one, sched, x, grid4, "heun", 16).values)
+
+
 def test_score_allocates_no_second_component_array(sched, bimodal):
-    # past its one (K, d, n) array of differences, score builds everything
-    # in place or in (K, n) and (n, d) arrays; at 4096 rows a second
-    # (K, d, n) array is 128 KiB, glibc's mmap threshold, and page-faults
+    # score builds no (K, d, n) array: past its (d, n) copy of x and its
+    # (K, n) block it needs at most three (n,) rows and the (n, d) output
     x = np.random.default_rng(0).standard_normal((4096, bimodal.d))
     K, d = bimodal.means.shape
     tracemalloc.start()
@@ -190,7 +237,7 @@ def test_score_allocates_no_second_component_array(sched, bimodal):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * K * d * x.shape[0] * 8
+    assert peak < (K + 2 * d + 3) * x.shape[0] * 8
 
 
 def _with_oracle_score(monkeypatch):

@@ -213,6 +213,12 @@ def test_recorded_rows_match_grid_length(sched, bimodal):
     assert np.all(np.isfinite(traj.values))
 
 
+@pytest.mark.parametrize("solver", ["euler", "heun", "exponential"])
+def test_solve_of_no_rows(sched, bimodal, grid4, solver):
+    traj = solve_trajectory(bimodal, sched, np.zeros((0, 2)), grid4, solver, substeps=4)
+    assert traj.values.shape == (0, grid4.M, 2)
+
+
 @pytest.mark.parametrize("solver, substeps, match", [
     ("rk4", 4, "unknown solver 'rk4'"), ("Heun", 4, "unknown solver"),
     ("heun", 0, "substeps must be >= 1")])
