@@ -15,7 +15,7 @@ allocates these arrays in its first pass only. `backward` drops each
 inner node's gradient once its rule has run, so a pass holds the
 gradients of a few nodes at a time besides those of the leaves. The tape's
 state is per thread: threads that record at once each enter a scope of
-their own, over workspaces that may share one block of memory.
+their own, over a workspace of their own.
 """
 from __future__ import annotations
 
@@ -35,45 +35,24 @@ class _TapeState(threading.local):
 _TAPE = _TapeState()
 
 
-class _Block:
-    """Bytes that workspaces cut their new arrays from, one cut at a time."""
-
-    def __init__(self, nbytes: int):
-        self._buf = memoryview(np.empty(nbytes, np.uint8))
-        self._used = 0
-        self._lock = threading.Lock()
-
-    def cut(self, nbytes: int) -> memoryview | None:
-        """The next `nbytes` at a 64-byte boundary, or None if they do not fit."""
-        with self._lock:
-            lo = -(-self._used // 64) * 64
-            if lo + nbytes > len(self._buf):
-                return None
-            self._used = lo + nbytes
-        return self._buf[lo:lo + nbytes]
-
-
 class Workspace:
     """A pool of arrays, grouped by size and dtype. `take` hands out one that
     nothing outside the pool refers to any more, else a new one, so no array
-    that something can still read is ever written into.
+    that something can still read is ever written into. One thread uses a
+    pool at a time.
 
-    New arrays are cut from one block of SLAB bytes while it lasts. The
-    block is just over glibc's 32 MiB cap on its dynamic mmap threshold, so
-    each block is mapped afresh and leaves the heap's thresholds as they
-    were; it faults in only the pages its arrays touch, in few faults since
-    numpy asks for huge pages on blocks of 4 MiB or more.
-
-    `Workspace(other)` has a pool of its own but cuts from other's block, so
-    threads that each run in their own workspace share one block and fault
-    in one set of huge pages, not one per thread. Only a cut takes the
-    block's lock; a pool hands its free arrays out again without it."""
+    New arrays are cut in turn from the pool's own block of SLAB bytes while
+    it lasts, then allocated one by one. The block is just over glibc's 32 MiB
+    cap on its dynamic mmap threshold, so each block is mapped afresh and
+    leaves the heap's thresholds as they were; it faults in only the pages
+    its arrays touch, in few faults since numpy asks for huge pages on
+    blocks of 4 MiB or more."""
 
     SLAB = 32 << 20
 
-    def __init__(self, share: Workspace | None = None):
+    def __init__(self):
         self._pool: dict[tuple, list[np.ndarray]] = {}
-        self._block = _Block(self.SLAB) if share is None else share._block
+        self._rest = memoryview(np.empty(self.SLAB, np.uint8))  # the block's uncut bytes
 
     def take(self, shape, dtype) -> np.ndarray:
         shape, dtype = tuple(shape), np.dtype(dtype)
@@ -86,8 +65,12 @@ class Workspace:
             # numpy stops collapsing a view's chain of bases)
             if sys.getrefcount(arrays[i]) == 2:
                 return arrays[i].reshape(shape)
-        buf = self._block.cut(size * dtype.itemsize)
-        arrays.append(np.empty(size, dtype) if buf is None else np.frombuffer(buf, dtype))
+        nbytes = size * dtype.itemsize
+        if nbytes <= len(self._rest):
+            arrays.append(np.frombuffer(self._rest[:nbytes], dtype))
+            self._rest = self._rest[-(-nbytes // 64) * 64:]  # 64-byte aligned cuts
+        else:
+            arrays.append(np.empty(size, dtype))
         return arrays[-1].reshape(shape)
 
 
@@ -290,11 +273,16 @@ def dft_at_positions(u: Tensor, J: int, positions, M: int) -> Tensor:
 
 
 def _mode_blocks(Rv: np.ndarray) -> np.ndarray:
-    """(J, K, 2C) kernel of (Re, Im) pairs -> (J, 2C, 2K) real blocks
-    W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]], which map the
-    columns (Re u_hat_j | Im u_hat_j) of mode j to (Re out_j | Im out_j)."""
+    """(J, K, 2C) kernel of (Re, Im) pairs -> (J, 2C, 2K) real blocks in an
+    `empty` array, W[j] = [[Re R_j^T, Im R_j^T], [-Im R_j^T, Re R_j^T]], which
+    map the columns (Re u_hat_j | Im u_hat_j) of mode j to (Re out_j | Im out_j)."""
     re, im = Rv[..., 0::2].transpose(0, 2, 1), Rv[..., 1::2].transpose(0, 2, 1)
-    return np.block([[re, im], [-im, re]])
+    J, C, K = re.shape
+    W = empty((J, 2, C, 2, K))
+    W[:, 0, :, 0] = W[:, 1, :, 1] = re
+    W[:, 0, :, 1] = im
+    np.negative(im, out=W[:, 1, :, 0])
+    return W.reshape(J, 2 * C, 2 * K)
 
 
 def mode_multiply(R: Tensor, u_hat: Tensor, matrix=None) -> Tensor:

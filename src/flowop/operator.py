@@ -104,23 +104,14 @@ def init_params(config: DsnoConfig, seed: int) -> DsnoParams:
     return params_from(config, arrays)
 
 
-def spectral_matrices(params: DsnoParams, positions: np.ndarray) -> list[np.ndarray]:
-    """Each block's `nnops.spectral_matrix` at `positions`, in block order."""
-    return [nnops.spectral_matrix(blk.kernel, positions, params.config.M)
-            for blk in params.blocks]
-
-
-def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray,
-          matrices=None) -> list[tuple]:
+def _plan(params: DsnoParams, times: np.ndarray, positions: np.ndarray) -> list[tuple]:
     """What each residual block needs that does not depend on the rows, in
     training and inference alike: its time-embedding rows (Q, C) and its
-    `nnops.spectral_matrix`, through which the tape records no gradient.
-    `matrices` are the blocks' `spectral_matrices`, if the caller has them."""
+    `nnops.spectral_matrix`, through which the tape records no gradient."""
     emb_t = nnops.param(nnops.time_embedding(times, params.config.E))
-    if matrices is None:
-        matrices = spectral_matrices(params, positions)
-    return [(nnops.affine_pointwise(blk.emb_W, blk.emb_b, emb_t), matrix)
-            for blk, matrix in zip(params.blocks, matrices)]
+    return [(nnops.affine_pointwise(blk.emb_W, blk.emb_b, emb_t),
+             nnops.spectral_matrix(blk.kernel, positions, params.config.M))
+            for blk in params.blocks]
 
 
 def _forward_graph(params: DsnoParams, x_T: np.ndarray, positions: np.ndarray,
@@ -266,12 +257,10 @@ def forward(params: DsnoParams, x_T, grid: TimeGrid) -> np.ndarray:
     return _infer(params, x_T, grid.times, _grid_positions(params, grid))
 
 
-def forward_loss(params: DsnoParams, x_T, grid: TimeGrid, target, weights,
-                 matrices=None) -> Tensor:
-    """Differentiable weighted l1 training loss for a batch. `matrices` are
-    the blocks' `spectral_matrices` on the grid, if the caller has them."""
+def forward_loss(params: DsnoParams, x_T, grid: TimeGrid, target, weights) -> Tensor:
+    """Differentiable weighted l1 training loss for a batch."""
     positions = _grid_positions(params, grid)
-    plan = _plan(params, grid.times, positions, matrices)
+    plan = _plan(params, grid.times, positions)
     y = _forward_graph(params, np.asarray(x_T, dtype=float), positions, plan)
     return nnops.weighted_l1(y, target, weights)
 

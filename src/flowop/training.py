@@ -77,9 +77,12 @@ class OptimizerState:
                    v=[np.zeros_like(p.value) for p in params])
 
 
+# Adam's moment decays and its denominator's offset: no workload varied them
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(params: list[Tensor], grads: list[np.ndarray],
-              state: OptimizerState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> list[Tensor]:
+              state: OptimizerState, lr: float) -> list[Tensor]:
     """Standard bias-corrected Adam. Every gradient is checked before any
     state moves; then the moments and the parameters are updated in place,
     with their temporaries from `nnops.empty`."""
@@ -90,17 +93,17 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray],
     t = state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         a, b = nnops.empty(g.shape), nnops.empty(g.shape)
-        np.multiply(g, 1 - beta1, out=a)
-        m *= beta1
-        m += a                                  # beta1 m + (1 - beta1) g
-        np.multiply(g, 1 - beta2, out=a)
+        np.multiply(g, 1 - BETA1, out=a)
+        m *= BETA1
+        m += a                                  # BETA1 m + (1 - BETA1) g
+        np.multiply(g, 1 - BETA2, out=a)
         a *= g
-        v *= beta2
-        v += a                                  # beta2 v + (1 - beta2) g g
-        np.divide(m, 1 - beta1 ** t, out=a)
-        np.divide(v, 1 - beta2 ** t, out=b)
+        v *= BETA2
+        v += a                                  # BETA2 v + (1 - BETA2) g g
+        np.divide(m, 1 - BETA1 ** t, out=a)
+        np.divide(v, 1 - BETA2 ** t, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += EPS
         a /= b
         a *= lr
         p.value -= a
@@ -136,11 +139,11 @@ def _shard_edges(n: int, config: DsnoConfig) -> list[tuple[int, int]]:
 
 
 def _shard_loss(params: DsnoParams, pool: nnops.Workspace, x, grid: TimeGrid, y,
-                weights, matrices, step: int) -> float:
+                weights, step: int) -> float:
     """One shard's forward and backward pass in `pool`: its loss. The
     gradients stay on params' tensors."""
     with nnops.workspace(pool):
-        loss = forward_loss(params, x, grid, y, weights, matrices)
+        loss = forward_loss(params, x, grid, y, weights)
         if not np.isfinite(loss.value):
             raise FloatingPointError(f"non-finite loss at step {step}")
         loss.backward()
@@ -230,13 +233,11 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
     w = grid_weights(dataset.sched, grid, tc.weighting)
     x_all = dataset.x_T.astype(float)
     y_all = dataset.values.astype(float)
-    positions = np.arange(grid.M, dtype=float)
     curve: list[tuple[int, float, float]] = []
     tensors = params.tensors()
     shards = [params] + [operator.params_from(params.config, [t.value for t in tensors])
                          for _ in range(_SHARDS - 1)]
-    pools = [nnops.Workspace()]
-    pools += [nnops.Workspace(pools[0]) for _ in shards[1:]]
+    pools = [nnops.Workspace() for _ in shards]
     cpus = operator._cpus()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -248,11 +249,8 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
         for step in range(start, tc.total_steps):
             idx = _batch_indices(dataset.N, tc.batch_size, tc.seed, step)
             x, y = x_all[idx], y_all[idx]
-            # plain arrays that every shard reads; the kernels' gradients
-            # come from each shard's spectral_conv
-            matrices = operator.spectral_matrices(params, positions)
             calls = [(shards[k], pools[k], x[lo:hi], grid, y[lo:hi],
-                      w * ((hi - lo) / len(idx)), matrices, step)
+                      w * ((hi - lo) / len(idx)), step)
                      for k, (lo, hi) in enumerate(_shard_edges(len(idx), mc))]
             nthreads, losses = min(cpus, len(calls)), [0.0] * len(calls)
 
@@ -269,7 +267,7 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
             adam_step(tensors, grads, state, lr)
             curve.append((step, lr, sum(losses)))
             # free this step's arrays for the next one
-            matrices = calls = grads = None
+            calls = grads = None
             for s in shards:
                 for t in s.tensors():
                     t.grad = None

@@ -3,7 +3,7 @@ import threading
 # flowop before numpy: importing it pins BLAS to one thread where the
 # environment names no count, as under the `flowop` command, and that
 # takes effect only while numpy has not loaded
-from flowop import GaussianMixture, NoiseSchedule, make_time_grid
+from flowop import GaussianMixture, NoiseSchedule, make_time_grid, nnops
 
 import numpy as np
 import pytest
@@ -19,6 +19,19 @@ def no_leaked_threads():
     yield
     leaked = [t.name for t in threading.enumerate() if t not in before]
     assert not leaked, f"threads left running: {leaked}"
+
+
+@pytest.fixture(autouse=True)
+def tape_restored():
+    """Fails a test that leaves the main thread's tape not recording or inside
+    a workspace() scope: every later test's ops would build no graph, or take
+    their arrays from a pool that outlived its call. The state is reset, so
+    only the test that left it fails."""
+    yield
+    recording, ws = nnops._TAPE.recording, nnops._TAPE.workspace
+    nnops._TAPE.recording, nnops._TAPE.workspace = True, None
+    assert recording, "the tape was left not recording"
+    assert ws is None, "a workspace() scope was left open"
 
 
 @pytest.fixture

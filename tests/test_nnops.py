@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -294,6 +296,59 @@ def test_workspace_hands_out_only_arrays_nothing_refers_to():
         with no_record():                 # no tape, no pool
             del c
             assert _address(empty((2, 6))) != first
+
+
+def test_a_full_workspace_hands_out_plain_arrays_and_reuses_them(monkeypatch):
+    # once its block is spent, a pool allocates each new array on its own;
+    # such an array is handed out again once nothing refers to it
+    monkeypatch.setattr(nnops.Workspace, "SLAB", 1024)
+    ws = nnops.Workspace()
+    whole = ws.take((128,), float)                # the whole block
+    assert isinstance(whole.base.base, memoryview)
+    a = ws.take((4, 2), float)
+    assert a.base.base is None and a.base.flags.owndata
+    first = _address(a)
+    b = ws.take((8,), float)                      # `a` is still referred to
+    assert _address(b) != first and not np.shares_memory(a, b)
+    del a
+    c = ws.take((2, 4), float)
+    assert _address(c) == first and c.shape == (2, 4)
+    assert not np.shares_memory(c, whole) and not np.shares_memory(c, b)
+
+
+def test_workspaces_filled_at_once_from_two_threads_share_no_memory(monkeypatch):
+    # two threads, each in a pool of its own, fill their pools at once, past
+    # the end of their blocks: no two arrays handed out share memory, and
+    # each array keeps what its thread wrote into it
+    monkeypatch.setattr(nnops.Workspace, "SLAB", 1 << 16)
+    sizes = [1, 3, 100, 1000] * 40        # 8.8 KiB a cycle, 64 KiB a block
+    start = threading.Barrier(2, timeout=60)
+    taken = [[], []]
+
+    def fill(k):
+        with workspace(nnops.Workspace()):
+            start.wait()
+            for n in sizes:
+                a = empty((n,))
+                a[:] = k
+                taken[k].append(a)
+
+    threads = [threading.Thread(target=fill, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(arrays) for arrays in taken] == [len(sizes)] * 2
+    assert all(np.all(a == k) for k in range(2) for a in taken[k])
+    arrays = taken[0] + taken[1]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_workspace_scope_restores_on_error():

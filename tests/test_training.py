@@ -98,12 +98,13 @@ def test_train_config_validation():
 
 
 def test_adam_first_step_is_signed_lr():
-    # with zero state the first bias-corrected update is lr * sign(g)
+    # with zero state the first bias-corrected update is lr * g / (|g| + eps),
+    # lr * sign(g) but for Adam's eps of 1e-8
     p = param(np.array([1.0, -2.0, 3.0]))
     g = np.array([0.3, -0.1, 2.0])
     st = OptimizerState.fresh([p])
-    adam_step([p], [g], st, lr=0.1, eps=0.0)
-    expected = np.array([1.0, -2.0, 3.0]) - 0.1 * np.sign(g)
+    adam_step([p], [g], st, lr=0.1)
+    expected = np.array([1.0, -2.0, 3.0]) - 0.1 * g / (np.abs(g) + 1e-8)
     assert np.allclose(p.value, expected, rtol=1e-12)
 
 
@@ -315,12 +316,18 @@ def test_train_checks_checkpoint_every_before_the_first_step(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
-def test_train_steps_reuse_the_first_steps_arrays(monkeypatch):
-    # default model at B=256: after the first step, no step's traced memory
-    # may rise by one (B, Q, C) float64 array (512 KiB) above its starting
-    # level; a step that allocates its graph afresh rises by the whole graph.
-    # train reads only the dataset's shapes, grid and schedule
-    cfg, sched = DsnoConfig(), NoiseSchedule()
+@pytest.mark.parametrize("cfg", [DsnoConfig(), DsnoConfig(C=32, J=5, M=8)],
+                         ids=["dense", "factored"])
+def test_train_steps_reuse_the_first_steps_arrays(monkeypatch, cfg):
+    # two-shard models at B=256, the default (dense spectral map) and one on
+    # the factored path (n M C^2 = 2^21): after the first step, no step's
+    # traced memory may rise by one (B, Q, C) float64 array (512 KiB at both)
+    # above its starting level; a step that allocates its graph afresh rises
+    # by the whole graph. train reads only the dataset's shapes, grid and
+    # schedule
+    assert len(training._shard_edges(256, cfg)) == 2
+    assert nnops._dense_spectral_map(cfg.M, cfg.J) == (cfg.M == 4)
+    sched = NoiseSchedule()
     rng = np.random.default_rng(7)
     ds = TrajectoryDataset(sched, make_time_grid(cfg.M, "quadratic", sched),
                            rng.standard_normal((512, cfg.d)).astype(np.float32),
