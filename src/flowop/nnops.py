@@ -255,21 +255,28 @@ def _dft_basis(J: int, positions: np.ndarray, M: int) -> np.ndarray:
     return (M / q.shape[1]) * np.exp(-2j * np.pi * j * q / M)
 
 
-def dft_at_positions(u: Tensor, J: int, positions, M: int) -> Tensor:
-    """Truncated forward transform of real (..., Q, C) features sampled at
-    index positions of an M-point grid: (..., J, 2C) [Re | Im] mode columns."""
-    Fs = _re_im_rows(_dft_basis(J, positions, M))             # (2J, Q)
+def _along_time(u: Tensor, A: np.ndarray, shape, out=None) -> Tensor:
+    """Both Fourier transforms: a fixed real (P, R) matrix along time. u's trailing
+    two axes, read in C order as (R, c) blocks, map to the (P, c) blocks of `shape`."""
     uv = u.value
-    Q, C = uv.shape[-2:]
-    y = empty((*uv.shape[:-2], J, 2 * C))
-    np.matmul(Fs, uv.reshape(-1, Q, C), out=y.reshape(-1, 2 * J, C))
+    P, R = A.shape
+    c = math.prod(uv.shape[-2:]) // R
+    out = _result(out, shape, float)
+    np.matmul(A, uv.reshape(-1, R, c), out=out.reshape(-1, P, c))
 
     def bw(g):
         gu = empty(uv.shape)
-        np.matmul(Fs.T, g.reshape(-1, 2 * J, C), out=gu.reshape(-1, Q, C))
+        np.matmul(A.T, g.reshape(-1, P, c), out=gu.reshape(-1, R, c))
         return (gu,)
 
-    return Tensor(y, (u,), bw)
+    return Tensor(out, (u,), bw)
+
+
+def dft_at_positions(u: Tensor, J: int, positions, M: int) -> Tensor:
+    """Truncated forward transform of real (..., Q, C) features sampled at
+    index positions of an M-point grid: (..., J, 2C) [Re | Im] mode columns."""
+    return _along_time(u, _re_im_rows(_dft_basis(J, positions, M)),
+                       (*u.shape[:-2], J, 2 * u.shape[-1]))
 
 
 def _mode_blocks(Rv: np.ndarray) -> np.ndarray:
@@ -328,19 +335,8 @@ def idft_at(u_hat: Tensor, M: int, queries, out=None) -> Tensor:
     """Real trigonometric interpolant of one-sided modes, given as (..., J, 2K)
     [Re | Im] columns, at (fractional) index positions: (..., Q, K). At the
     full integer grid with maximal J this is the exact inverse DFT."""
-    uv = u_hat.value
-    J, K = uv.shape[-2], uv.shape[-1] // 2
-    Bs = _re_im_rows(np.conj(_idft_basis(J, M, queries)))     # (2J, Q)
-    Q = Bs.shape[1]
-    out = _result(out, (*uv.shape[:-2], Q, K), float)
-    np.matmul(Bs.T, uv.reshape(-1, 2 * J, K), out=out.reshape(-1, Q, K))
-
-    def bw(g):
-        gu = empty(uv.shape)
-        np.matmul(Bs, g.reshape(-1, Q, K), out=gu.reshape(-1, 2 * J, K))
-        return (gu,)
-
-    return Tensor(out, (u_hat,), bw)
+    Bs = _re_im_rows(np.conj(_idft_basis(u_hat.shape[-2], M, queries))).T    # (Q, 2J)
+    return _along_time(u_hat, Bs, (*u_hat.shape[:-2], len(Bs), u_hat.shape[-1] // 2), out=out)
 
 
 def _dense_spectral_map(Q: int, J: int) -> bool:
@@ -396,7 +392,7 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int, matrix=None, out=None
     real (Q*C, Q*K) map per sample, T[m,l,n,k] = Re sum_j F[j,m] R[j,k,l] B[j,n].
     The map grows as Q^2, so for larger Q (dense queries) the three ops run
     in turn. `matrix` is `spectral_matrix(R, positions, M)`, if the caller
-    has it; `out` must not overlap u.
+    has it; the path follows its rank. `out` must not overlap u.
     """
     Rv, uv = R.value, u.value
     J, K, C = Rv.shape[0], Rv.shape[1], Rv.shape[2] // 2
@@ -404,11 +400,11 @@ def spectral_conv(R: Tensor, u: Tensor, positions, M: int, matrix=None, out=None
     Q = positions.size
     if Rv.shape[2] != 2 * C or uv.shape[-2:] != (Q, C):
         raise ValueError("kernel/feature shape mismatch")
-    if not _dense_spectral_map(Q, J):
-        u_hat = mode_multiply(R, dft_at_positions(u, J, positions, M), matrix=matrix)
+    T = spectral_matrix(R, positions, M) if matrix is None else matrix
+    if T.ndim == 3:     # mode_multiply's blocks
+        u_hat = mode_multiply(R, dft_at_positions(u, J, positions, M), matrix=T)
         return idft_at(u_hat, M, positions, out=out)
 
-    T = _dense_map(Rv, positions, M) if matrix is None else matrix
     rows = uv.reshape(-1, Q * C)
     out = _result(out, (*uv.shape[:-2], Q, K), float)
     np.matmul(rows, T, out=out.reshape(-1, Q * K))

@@ -21,6 +21,8 @@ def power_spectrum(signal: np.ndarray, period: float = 1.0) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("signal must be 1-D with at least 2 samples")
+    if not 0 < period < np.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
     delta = 1.0 / x.size
     return (2.0 * delta * delta / period) * np.abs(np.fft.rfft(x)) ** 2
 

@@ -185,9 +185,17 @@ def save_train_checkpoint(path, params: DsnoParams, state: OptimizerState,
 
 
 def load_train_checkpoint(path) -> tuple[DsnoParams, OptimizerState, dict]:
+    """A train checkpoint's params, Adam state and header extra. Its extra
+    must hold a non-negative integer step and a train config object, else
+    ValueError; it is checked once the payload fits, so that a file of the
+    other kind is refused by its size."""
     header, arrays = read_container(path, operator.checkpoint_layout(groups=3))
+    extra = header.get("extra")
+    if not (isinstance(extra, dict) and type(extra.get("step")) is int
+            and extra["step"] >= 0 and isinstance(extra.get("train"), dict)):
+        raise ValueError(f"bad checkpoint header: extra {extra!r} holds no "
+                         "non-negative integer step and train config object")
     n = len(arrays) // 3
-    extra = header["extra"]
     return (operator.params_from(DsnoConfig(**header["config"]), arrays[:n]),
             OptimizerState(m=arrays[n:2 * n], v=arrays[2 * n:], step=extra["step"]), extra)
 
@@ -219,6 +227,8 @@ def train(dataset: TrajectoryDataset, tc: TrainConfig, mc: DsnoConfig,
         raise ValueError(f"dataset grid M={dataset.grid.M} != model M={mc.M}")
     if dataset.d != mc.d:
         raise ValueError("dataset/model dimension mismatch")
+    if dataset.N == 0:
+        raise ValueError("the dataset holds no records")
     if resume_from is not None:
         params, state, extra = load_train_checkpoint(resume_from)
         check_config_match("model", vars(params.config), vars(mc), "cannot resume")
@@ -300,6 +310,8 @@ def sliced_wasserstein(A: np.ndarray, B: np.ndarray, n_proj: int = 128,
         raise ValueError("empty sample set")
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch")
+    if n_proj < 1:
+        raise ValueError(f"n_proj must be >= 1, got {n_proj}")
     rng = np.random.default_rng(seed)
     d = A.shape[1]
     total = 0.0

@@ -7,6 +7,9 @@ deletion here would otherwise surface only when the benchmark runs.
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -180,3 +183,15 @@ def test_sample_reads_a_checkpoint_without_a_setup(tmp_path):
     save_checkpoint(tmp_path / "run" / "model.bin", init_params(cfg.model, seed=0))
     assert cli.run(["sample", "--config", str(tmp_path / "c.json"), "--n", "5"]) == 0
     assert len((tmp_path / "run" / "samples.tsv").read_text().splitlines()) == 6
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    # the benchmark's own check that its oracles count corrupted outputs and
+    # that its metrics are BENCHMARK.json's, run as a checkout runs it: it
+    # finds the package itself, so PYTHONPATH is dropped
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "selftest: OK"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -64,6 +65,34 @@ def test_malformed_json(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config("/nonexistent/config.json")
+
+
+def test_readme_config_table_matches_the_defaults():
+    # README's table of settable values: each row's backticked keys are its
+    # section's keys in order (the row without a section holds the top-level
+    # leaves), each "(default)" that is a JSON literal is the default, and
+    # the count it states is the number of leaves
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def leaves(node):
+        return sum(leaves(v) if isinstance(v, dict) else 1 for v in node.values())
+
+    assert int(re.search(r"The (\d+) settable values", readme)[1]) == leaves(_DEFAULTS) == 25
+    table = readme[readme.index("| Section | Keys (defaults) |"):].split("\n\n")[0]
+    rows = [[cell.strip() for cell in line.split("|")[1:3]] for line in table.splitlines()[2:]]
+    assert [name for name, _ in rows] == [f"`{k}`" for k, v in _DEFAULTS.items()
+                                          if isinstance(v, dict)] + [""]
+    top = {k: v for k, v in _DEFAULTS.items() if not isinstance(v, dict)}
+    for name, cell in rows:
+        section = _DEFAULTS[name.strip("`")] if name else top
+        keys = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", cell)
+        assert [k for k, _ in keys] == list(section)
+        for key, text in keys:
+            try:
+                value = json.loads(text)
+            except json.JSONDecodeError:
+                continue        # no default, or one given in words
+            assert value == section[key], key
 
 
 # leaves whose type differs from their default's
@@ -295,6 +324,18 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert run(["train", "--config", str(cfg_path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_train_refuses_a_dataset_without_records(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert run(["gen-data", "--config", str(cfg_path)]) == 0
+    path = tmp_path / "data.bin"
+    data = TrajectoryDataset.load(path)
+    dataclasses.replace(data, x_T=data.x_T[:0], values=data.values[:0]).save(path)
+    capsys.readouterr()
+    assert run(["train", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: the dataset holds no records\n"
+    assert not (tmp_path / "run" / "model.bin").exists()
 
 
 def test_summary_contains_flattened_config(tmp_path):

@@ -57,6 +57,11 @@ def test_power_spectrum_validation(sched, bimodal):
         trajectory_spectrum_report(bimodal, sched, n_traj=0)
 
 
+def test_power_spectrum_needs_a_positive_period():
+    with pytest.raises(ValueError, match="period must be positive and finite, got 0.0"):
+        power_spectrum(np.ones(8), period=0.0)
+
+
 def test_band_fraction_cosine_pair():
     N = 128
     n = np.arange(N)

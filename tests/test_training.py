@@ -16,7 +16,8 @@ from flowop import nnops, operator, training
 from flowop.nnops import param
 from flowop.operator import DsnoConfig, forward, forward_loss, init_params, params_from
 from flowop.schedule import NoiseSchedule, loss_weight
-from flowop.trajectories import TrajectoryDataset, generate_dataset, make_time_grid
+from flowop.trajectories import (TrajectoryDataset, generate_dataset, make_time_grid,
+                                 write_container)
 from flowop.training import (OptimizerState, TrainConfig, adam_step,
                              _batch_indices, eval_trajectory_rmse, grid_weights,
                              load_train_checkpoint, lr_at,
@@ -263,6 +264,15 @@ def _checkpoint_at_step_4(tmp_path, dataset, tc):
     train(dataset, TrainConfig(**{**vars(tc), "total_steps": 4}), TINY_MODEL,
           out_dir=str(ckpt_dir), checkpoint_every=4)
     return str(ckpt_dir / "ckpt_0000004.bin")
+
+
+def test_train_refuses_a_dataset_without_records(tmp_path, tiny_dataset):
+    # a file of 0 records loads; its batches would divide by their size
+    empty = dataclasses.replace(tiny_dataset, x_T=tiny_dataset.x_T[:0],
+                                values=tiny_dataset.values[:0])
+    with pytest.raises(ValueError, match="holds no records"):
+        train(empty, tiny_train_config(), TINY_MODEL, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_resume_matches_uninterrupted(tmp_path, tiny_dataset):
@@ -625,6 +635,22 @@ def test_train_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("extra", [None, {"step": 3}, {"step": "x", "train": {}}],
+                         ids=["no-extra", "no-train", "step-not-an-integer"])
+def test_train_checkpoint_bad_extra_refused(tmp_path, extra):
+    # a checksummed file whose extra lacks the step or the train config, or
+    # holds a step that is no count, is refused as it is read, not by a
+    # KeyError or TypeError once a resume uses it
+    header = {"config": dataclasses.asdict(TINY_MODEL)}
+    if extra is not None:
+        header["extra"] = extra
+    arrays = [t.value for t in init_params(TINY_MODEL, seed=2).tensors()] * 3
+    path = tmp_path / "train.ckpt"
+    write_container(path, header, arrays, operator.checkpoint_layout(groups=3))
+    with pytest.raises(ValueError, match="bad checkpoint header"):
+        load_train_checkpoint(path)
+
+
 # ------------------------------------------------------------------- metrics
 
 def test_eval_rmse_zero_on_targets(tiny_dataset):
@@ -656,6 +682,12 @@ def test_sliced_wasserstein_unequal_sizes():
     A = rng.standard_normal((1500, 2))
     B = rng.standard_normal((900, 2))
     assert sliced_wasserstein(A, B, n_proj=64) < 0.15
+
+
+def test_sliced_wasserstein_needs_a_projection():
+    A = np.zeros((5, 2))
+    with pytest.raises(ValueError, match="n_proj must be >= 1, got 0"):
+        sliced_wasserstein(A, A, n_proj=0)
 
 
 def test_sliced_wasserstein_errors():
